@@ -11,8 +11,7 @@ so base-scenario noise nets out.
 from dataclasses import replace
 from pathlib import Path
 
-from hcimpact import cri
-from hcimpact.impact import resolve_rf
+from hcimpact.impact import impact_row
 from hcimpact.manifest import parse_manifest
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -29,8 +28,8 @@ def main() -> None:
     for model in ("PD", "CH", "DC"):
         for bound in ("lower", "upper"):
             config = replace(base, model=model, rr_selection=bound, rf_selection=bound)
-            result = cri(config, inputs)
-            rf = resolve_rf(config, inputs)
+            row = impact_row(config, inputs)
+            result, rf = row.result, row.rf
             print(
                 f"{model:<5s}  {bound:<6s} {rf:.5f} {result.crimi:>10.1f} "
                 f"{result.criui:>10.1f} {result.cri:>10.1f}    {result.cri_gdp_pct:.3f}"

@@ -19,14 +19,7 @@ from pathlib import Path
 from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import evaluate_model
-from .impact import (
-    GridRow,
-    ScenarioInputs,
-    cri,
-    parse_selector,
-    resolve_rf,
-    sensitivity_grid,
-)
+from .impact import impact_row, parse_selector, sensitivity_grid
 from .manifest import RunManifest, parse_manifest
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
@@ -36,28 +29,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _resolve_pieces(config, inputs: ScenarioInputs):
-    pop = inputs.populations.get(config.population)
-    if pop is None:
-        raise ValidationError(
-            f"unknown population scenario {config.population!r}; valid ids: "
-            f"{', '.join(sorted(inputs.populations))}"
-        )
-    costs = inputs.cost_profiles.get(config.cost_profile)
-    if costs is None:
-        raise ValidationError(
-            f"unknown cost profile {config.cost_profile!r}; valid ids: "
-            f"{', '.join(sorted(inputs.cost_profiles))}"
-        )
-    ds = inputs.ds_profiles.get(config.ds_scenario)
-    if ds is None:
-        raise ValidationError(
-            f"unknown D/S scenario {config.ds_scenario!r}; valid ids: "
-            f"{', '.join(sorted(inputs.ds_profiles))}"
-        )
-    return pop, costs, ds
 
 
 def _config_echo(config, rf: float | None = None) -> list[str]:
@@ -138,18 +109,13 @@ def _build_impact(manifest: RunManifest, fmt: str):
     if inputs.params.gdp is None or config.shock_date not in inputs.params.gdp:
         raise ValidationError(f"GDP path does not cover the shock date {config.shock_date}")
 
-    result = cri(config, inputs)
-    rf = resolve_rf(config, inputs)
-    row = GridRow(
-        model=config.model,
-        pop_scenario=config.population,
-        rr_selector=config.rr_selection,
-        rf=rf,
-        result=result,
+    row = impact_row(config, inputs)
+    result, rf = row.result, row.rf
+    base_path = evaluate_model(  # impact_row has resolved every id
+        config.model, inputs.populations[config.population],
+        inputs.cost_profiles[config.cost_profile], inputs.ds_profiles[config.ds_scenario],
+        inputs.mortality, inputs.params,
     )
-
-    pop, costs, ds = _resolve_pieces(config, inputs)
-    base_path = evaluate_model(config.model, pop, costs, ds, inputs.mortality, inputs.params)
 
     files: dict[str, str] = {}
     if fmt == "table":

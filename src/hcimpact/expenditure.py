@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .grid import CohortGrid
-from .population import MortalityTable, PopulationPath
-from .relative_risk import SERVICES, UtilizationRRSet
+from .population import MortalityTable, PopulationPath, annualized
+from .relative_risk import SERVICE_FIELDS, SERVICES, UtilizationRRSet
 
 __all__ = [
     "CostProfile",
@@ -40,6 +40,8 @@ __all__ = [
     "decompose_costs",
     "rescaling_factor",
     "evaluate_model",
+    "model_weights",
+    "contract",
     "PUBLISHED_RF_RANGE",
 ]
 
@@ -111,15 +113,6 @@ class ExpenditureShares:
     rehabilitation: float
     minor: float
 
-    _FIELDS = {
-        "H": "hospital",
-        "P": "pharmaceutical",
-        "S": "specialist",
-        "GP": "general_practice",
-        "R": "rehabilitation",
-        "m": "minor",
-    }
-
     def __post_init__(self) -> None:
         total = 0.0
         for code in SERVICES:
@@ -132,7 +125,7 @@ class ExpenditureShares:
 
     def for_service(self, code: str) -> float:
         try:
-            return float(getattr(self, self._FIELDS[code]))
+            return float(getattr(self, SERVICE_FIELDS[code]))
         except KeyError:
             raise ValidationError(f"unknown service code {code!r}") from None
 
@@ -145,7 +138,6 @@ class ExpenditurePath:
     scenario: str
     dates: tuple[int, ...]
     values: np.ndarray
-    gdp: np.ndarray | None = None  # companion path for GDP-share reporting
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=float)
@@ -155,12 +147,6 @@ class ExpenditurePath:
             raise ValidationError("expenditure must be finite and >= 0 at every date")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.gdp is not None:
-            g = np.array(self.gdp, dtype=float)
-            if g.shape != v.shape or np.any(g <= 0.0):
-                raise ValidationError("GDP companion path must be positive over the dates")
-            g.setflags(write=False)
-            object.__setattr__(self, "gdp", g)
 
     def value_at(self, date: int) -> float:
         try:
@@ -201,13 +187,9 @@ class ModelParameters:
             u = np.full(grid.n_cohorts, float(u))
         return _cohort_vector("utilization scaling", u, grid)
 
-    def gdp_for(self, dates: tuple[int, ...]) -> np.ndarray | None:
-        if self.gdp is None or any(d not in self.gdp for d in dates):
-            return None
-        return np.array([self.gdp[d] for d in dates], dtype=float)
 
-
-def _require_same_grid(*objs) -> CohortGrid:
+def require_same_grid(*objs) -> CohortGrid:
+    """The cohort grid all ``objs`` share; ``ValidationError`` if they differ."""
     grids = [o.grid for o in objs]
     for g in grids[1:]:
         if g != grids[0]:
@@ -215,25 +197,68 @@ def _require_same_grid(*objs) -> CohortGrid:
     return grids[0]
 
 
+def model_weights(
+    model: str,
+    grid: CohortGrid,
+    date: int,
+    params: ModelParameters,
+    costs: np.ndarray,
+    ds: np.ndarray | None = None,
+    pd5_base: np.ndarray | None = None,
+    pd5: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-capita weights ``u * cost`` of one model at one date: its one formula.
+
+    ``costs`` is a cost row or a ``(k, cohorts)`` stack of them. DC also
+    takes the D/S ratios and the 5-year death probabilities at the base
+    date and at ``date`` (rows or stacks); the result broadcasts over
+    every stack. Expenditure at ``date`` is :func:`contract` of the
+    head-counts with each weight row.
+    """
+    u = params.utilization_vector(grid)
+    if model == "PD":
+        return u * costs
+    if model == "CH":
+        mids = np.array(grid.cohort_midpoints())
+        shift = params.health_improvement_rate * (date - grid.base_date)
+        eff_costs = [np.interp(mids - shift, mids, row) for row in np.atleast_2d(costs)]
+        return u * np.reshape(eff_costs, np.shape(costs))
+    if model == "DC":
+        s, d = _split_costs(costs, ds, annualized(pd5_base))
+        pd1 = annualized(pd5)
+        return u * (s * (1.0 - pd1) + d * pd1)
+    raise ValidationError(f"unknown model {model!r}; valid ids: {', '.join(MODELS)}")
+
+
+def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarray:
+    """Expenditure, EUR millions, of one head-count column under each weight row.
+
+    ``weights`` broadcasts to ``rows`` rows, and each row is contracted by
+    the same 1-D product, so a value is bit-identical whether it is
+    computed alone or in a stack.
+    """
+    stack = np.broadcast_to(weights, (rows, counts.shape[0]))
+    values = np.array([counts @ w for w in stack]) * _TO_EUR_MILLIONS
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("expenditure must be finite and >= 0 at every date")
+    return values
+
+
+def _path(model, grid, pop, costs, params, ds=None, mortality=None) -> ExpenditurePath:
+    dp = None if ds is None else mortality.death_prob
+    values = []
+    for i, date in enumerate(grid.dates):
+        dc = () if dp is None else (ds.values, dp[:, 0], dp[:, i])
+        weights = model_weights(model, grid, date, params, costs.values, *dc)
+        values.append(contract(pop.counts[:, i], weights)[0])
+    return ExpenditurePath(model, pop.scenario, grid.dates, values)
+
+
 def expenditure_pd(
     pop: PopulationPath, costs: CostProfile, params: ModelParameters
 ) -> ExpenditurePath:
     """Pure-demographic expenditure: head-counts times per-capita costs."""
-    grid = _require_same_grid(pop, costs)
-    u = params.utilization_vector(grid)
-    weights = u * costs.values
-    # same per-date contraction as the CH/DC variants, so the degenerate
-    # cases (zero improvement rate, unit D/S ratio) reproduce PD bit-exactly
-    values = np.array(
-        [float(pop.counts[:, i] @ weights) for i in range(grid.n_dates)]
-    ) * _TO_EUR_MILLIONS
-    return ExpenditurePath(
-        model="PD",
-        scenario=pop.scenario,
-        dates=grid.dates,
-        values=values,
-        gdp=params.gdp_for(grid.dates),
-    )
+    return _path("PD", require_same_grid(pop, costs), pop, costs, params)
 
 
 def expenditure_ch(
@@ -251,21 +276,15 @@ def expenditure_ch(
     grid consistency; the drift rate itself is a parameter, so general
     health improvement enters through ``params``, not the table.
     """
-    grid = _require_same_grid(pop, costs, mortality)
-    u = params.utilization_vector(grid)
-    mids = np.array(grid.cohort_midpoints())
-    values = np.empty(grid.n_dates)
-    for i, date in enumerate(grid.dates):
-        shift = params.health_improvement_rate * (date - grid.base_date)
-        eff_costs = np.interp(mids - shift, mids, costs.values)
-        values[i] = float(pop.counts[:, i] @ (u * eff_costs)) * _TO_EUR_MILLIONS
-    return ExpenditurePath(
-        model="CH",
-        scenario=pop.scenario,
-        dates=grid.dates,
-        values=values,
-        gdp=params.gdp_for(grid.dates),
-    )
+    return _path("CH", require_same_grid(pop, costs, mortality), pop, costs, params)
+
+
+def _split_costs(costs: np.ndarray, ds: np.ndarray, pd1: np.ndarray):
+    denom = 1.0 + pd1 * (ds - 1.0)
+    if np.any(denom <= 0.0):
+        raise NumericalError("degenerate denominator in survivor/decedent cost split")
+    s = costs / denom
+    return s, ds * s
 
 
 def decompose_costs(
@@ -283,16 +302,10 @@ def decompose_costs(
 
     for the survivor cost s(a); the decedent cost is d(a) = ds(a) * s(a).
     """
-    grid = _require_same_grid(costs, ds, mortality)
+    grid = require_same_grid(costs, ds, mortality)
     if date is None:
         date = grid.base_date
-    pd1 = mortality.annualized_at(date)
-    denom = 1.0 + pd1 * (ds.values - 1.0)
-    if np.any(denom <= 0.0):
-        raise NumericalError("degenerate denominator in survivor/decedent cost split")
-    s = costs.values / denom
-    d = ds.values * s
-    return s, d
+    return _split_costs(costs.values, ds.values, mortality.annualized_at(date))
 
 
 def expenditure_dc(
@@ -309,21 +322,8 @@ def expenditure_dc(
     evaluation date, so a mortality shock moves expenditure through the
     expected number of decedents alone.
     """
-    grid = _require_same_grid(pop, costs, ds, mortality)
-    u = params.utilization_vector(grid)
-    s, d = decompose_costs(costs, ds, mortality)
-    values = np.empty(grid.n_dates)
-    for i, date in enumerate(grid.dates):
-        pd1 = mortality.annualized_at(date)
-        per_capita = s * (1.0 - pd1) + d * pd1
-        values[i] = float(pop.counts[:, i] @ (u * per_capita)) * _TO_EUR_MILLIONS
-    return ExpenditurePath(
-        model="DC",
-        scenario=pop.scenario,
-        dates=grid.dates,
-        values=values,
-        gdp=params.gdp_for(grid.dates),
-    )
+    grid = require_same_grid(pop, costs, ds, mortality)
+    return _path("DC", grid, pop, costs, params, ds=ds, mortality=mortality)
 
 
 def rescaling_factor(shares: ExpenditureShares, rrs: UtilizationRRSet) -> float:

@@ -12,23 +12,30 @@ identical:
 Because both evaluations share model, population and parameters, any
 systematic error nets out and the difference is exactly zero when the
 perturbation is trivial.
+
+There is one evaluation path, :func:`sensitivity_grid`, and it evaluates
+the shock date only; a single scenario (:func:`cri`, :func:`crimi`,
+:func:`criui`) is its one-cell case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .expenditure import (
-    MODELS,
     CostProfile,
     DSRatioProfile,
     ExpenditureShares,
     ModelParameters,
-    evaluate_model,
+    contract,
+    model_weights,
+    require_same_grid,
     rescaling_factor,
 )
 from .grid import CohortGrid
@@ -37,7 +44,7 @@ from .relative_risk import (
     LaborMarketState,
     MortalityRRTable,
     UtilizationRRSet,
-    apply_mortality_shock,
+    shock_death_probs,
 )
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "criui",
     "cri",
     "sensitivity_grid",
+    "impact_row",
     "parse_selector",
     "gdp_share_pct",
 ]
@@ -114,30 +122,22 @@ def _resolve(mapping: Mapping[str, object], key: str, what: str):
         raise ValidationError(f"unknown {what} {key!r}; valid ids: {valid}") from None
 
 
-def _resolve_model(model: str) -> str:
-    if model not in MODELS:
-        raise ValidationError(f"unknown model {model!r}; valid ids: {', '.join(MODELS)}")
-    return model
+def _rr_vector(selection: str | float, inputs: ScenarioInputs) -> np.ndarray:
+    if isinstance(selection, str):
+        return inputs.rr_mortality.select(selection)
+    return MortalityRRTable.uniform(inputs.grid, selection).select("lower")
 
 
-def _rr_vector(config: ScenarioConfig, inputs: ScenarioInputs) -> np.ndarray:
-    sel = config.rr_selection
-    if isinstance(sel, str):
-        return inputs.rr_mortality.select(sel)
-    return MortalityRRTable.uniform(inputs.grid, sel).select("lower")
-
-
-def resolve_rf(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
-    """The rescaling factor for the configured utilization selection."""
-    sel = config.rf_selection
-    if isinstance(sel, str):
-        if sel not in inputs.rr_utilization:
+def resolve_rf(selection: str | float, inputs: ScenarioInputs) -> float:
+    """The rescaling factor of a utilization selector: a bound name or a number."""
+    if isinstance(selection, str):
+        if selection not in inputs.rr_utilization:
             raise ValidationError(
-                f"no utilization risk set {sel!r}; valid ids: "
+                f"no utilization risk set {selection!r}; valid ids: "
                 f"{', '.join(sorted(inputs.rr_utilization))}"
             )
-        return rescaling_factor(inputs.shares, inputs.rr_utilization[sel])
-    rf = float(sel)
+        return rescaling_factor(inputs.shares, inputs.rr_utilization[selection])
+    rf = float(selection)
     if not np.isfinite(rf) or rf < 0.0:
         raise ValidationError(f"uniform rescaling factor must be >= 0, got {rf}")
     return rf
@@ -153,7 +153,7 @@ class ImpactResult:
     gdp: float | None = None  # GDP at the evaluation date, EUR millions
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.crimi) or not np.isfinite(self.criui):
+        if not math.isfinite(self.crimi) or not math.isfinite(self.criui):
             raise NumericalError("impact components must be finite")
 
     @property
@@ -178,25 +178,6 @@ class ImpactResult:
         return self._share(self.cri)
 
 
-def _evaluations(config: ScenarioConfig, inputs: ScenarioInputs):
-    """Resolve a config and return (base value, shocked value, rescaled value, rf)."""
-    model = _resolve_model(config.model)
-    pop: PopulationPath = _resolve(inputs.populations, config.population, "population scenario")
-    costs: CostProfile = _resolve(inputs.cost_profiles, config.cost_profile, "cost profile")
-    ds: DSRatioProfile = _resolve(inputs.ds_profiles, config.ds_scenario, "D/S scenario")
-    params = inputs.params
-    t = config.shock_date
-
-    base = evaluate_model(model, pop, costs, ds, inputs.mortality, params).value_at(t)
-
-    shocked_mortality = apply_mortality_shock(inputs.mortality, _rr_vector(config, inputs), t)
-    shocked = evaluate_model(model, pop, costs, ds, shocked_mortality, params).value_at(t)
-
-    rf = resolve_rf(config, inputs)
-    rescaled = evaluate_model(model, pop, costs.scaled(rf), ds, inputs.mortality, params).value_at(t)
-    return base, shocked, rescaled, rf
-
-
 def crimi(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
     """Mortality-impact differential at the shock date, EUR millions.
 
@@ -207,8 +188,7 @@ def crimi(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
     so their mortality impact is exactly zero there and the DC model
     carries the whole effect.
     """
-    base, shocked, _, _ = _evaluations(config, inputs)
-    return shocked - base
+    return cri(config, inputs).crimi
 
 
 def criui(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
@@ -218,22 +198,18 @@ def criui(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
     in the cost profile; computed here by the double evaluation to keep
     the identity assertable rather than assumed.
     """
-    base, _, rescaled, _ = _evaluations(config, inputs)
-    return rescaled - base
+    return cri(config, inputs).criui
 
 
 def cri(config: ScenarioConfig, inputs: ScenarioInputs) -> ImpactResult:
     """Both impact components from one shared base evaluation."""
-    base, shocked, rescaled, _ = _evaluations(config, inputs)
-    gdp = None
-    if inputs.params.gdp is not None:
-        gdp = inputs.params.gdp.get(config.shock_date)
-    return ImpactResult(
-        date=config.shock_date,
-        crimi=shocked - base,
-        criui=rescaled - base,
-        gdp=gdp,
-    )
+    return impact_row(config, inputs).result
+
+
+def impact_row(config: ScenarioConfig, inputs: ScenarioInputs) -> GridRow:
+    """One scenario against its base: the one-cell :func:`sensitivity_grid`."""
+    axes = [config.rr_selection], [config.rf_selection], [config.model], [config.population]
+    return sensitivity_grid(config, inputs, *axes)[0]
 
 
 @dataclass(frozen=True)
@@ -258,9 +234,17 @@ def sensitivity_grid(
     """Evaluate the full Cartesian product of scenario overrides.
 
     Axis entries for the risk selections are either the bound names of
-    the input tables or uniform-across-cohorts numeric values. Rows come
-    out in deterministic axis-coordinate order
-    (model, population, mortality RR, RF).
+    the input tables or uniform-across-cohorts numeric values; the other
+    fields come from ``base``. Rows come out in deterministic
+    axis-coordinate order (model, population, mortality RR, RF).
+
+    Every input is validated once per grid and only the shock date is
+    evaluated. Per model, :func:`~hcimpact.expenditure.model_weights`
+    gives the base weights, the shocked ones for all RR selectors as one
+    ``(n_rr, cohorts)`` stack, and the rescaled ones for all RF-scaled
+    cost rows as one ``(n_rf, cohorts)`` stack. Per population each row
+    is contracted once, so a cell costs two subtractions; the rescaled
+    value is a real evaluation, not ``(RF - 1) * base``.
     """
     for name, axis in (
         ("models", models),
@@ -270,26 +254,39 @@ def sensitivity_grid(
     ):
         if len(axis) == 0:
             raise ValidationError(f"empty sensitivity axis: {name}")
+    pops = [_resolve(inputs.populations, p, "population scenario") for p in pop_scenarios]
+    costs: CostProfile = _resolve(inputs.cost_profiles, base.cost_profile, "cost profile")
+    ds: DSRatioProfile = _resolve(inputs.ds_profiles, base.ds_scenario, "D/S scenario")
+    mortality = inputs.mortality
+    grid = require_same_grid(mortality, costs, ds, *pops)
+    t = base.shock_date
+    if t not in grid.dates:
+        raise ValidationError(f"date {t} not on the expenditure path")
+    j = grid.date_index(t)
+
+    shocked = shock_death_probs(mortality, [_rr_vector(r, inputs) for r in rr_values], t)
+    rfs = [resolve_rf(r, inputs) for r in rf_values]
+    rescaled_costs = costs.values * np.array(rfs)[:, None]
+    pd5_base, pd5 = mortality.death_prob[:, 0], mortality.death_prob[:, j]
+    # a shock at the base date also moves DC's survivor/decedent split
+    shocked_base = shocked if j == 0 else pd5_base
+    params = inputs.params
+    gdp = None if params.gdp is None else params.gdp.get(t)
 
     rows = []
     for model in models:
-        for pop in pop_scenarios:
-            for rr_sel in rr_values:
-                for rf_sel in rf_values:
-                    config = replace(
-                        base,
-                        model=model,
-                        population=pop,
-                        rr_selection=rr_sel,
-                        rf_selection=rf_sel,
-                    )
-                    rows.append(
-                        GridRow(
-                            model=model,
-                            pop_scenario=pop,
-                            rr_selector=rr_sel,
-                            rf=resolve_rf(config, inputs),
-                            result=cri(config, inputs),
-                        )
-                    )
+        kernel = partial(model_weights, model, grid, t, params)
+        w_base = kernel(costs.values, ds.values, pd5_base, pd5)
+        w_shocked = kernel(costs.values, ds.values, shocked_base, shocked)
+        w_rescaled = kernel(rescaled_costs, ds.values, pd5_base, pd5)
+        for pop_id, pop in zip(pop_scenarios, pops):
+            counts = pop.counts[:, j]
+            (value,) = contract(counts, w_base).tolist()
+            shocked_values = contract(counts, w_shocked, len(rr_values)).tolist()
+            rescaled_values = contract(counts, w_rescaled, len(rfs)).tolist()
+            for rr_sel, v_shocked in zip(rr_values, shocked_values):
+                crimi_value = v_shocked - value
+                for rf, v_rescaled in zip(rfs, rescaled_values):
+                    result = ImpactResult(t, crimi_value, v_rescaled - value, gdp)
+                    rows.append(GridRow(model, pop_id, rr_sel, rf, result))
     return rows

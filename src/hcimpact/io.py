@@ -9,6 +9,7 @@ and written files re-parse verbatim.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,16 +83,40 @@ def _fail(path, msg: str, line: int | None = None) -> None:
     raise ValidationError(f"{where}: {msg}")
 
 
+@contextmanager
+def open_text(path):
+    """Open an input file as UTF-8 text for ``csv``; a leading BOM is dropped.
+
+    A byte that does not decode, or a line ``csv`` cannot split, raises
+    ``ValidationError`` naming the file (and the line of the bad byte).
+    """
+    try:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            _fail(path, "not valid UTF-8", raw.count(b"\n", 0, exc.start) + 1)
+        _fail(path, "not valid UTF-8")
+    except csv.Error as exc:
+        _fail(path, str(exc))
+
+
 def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
     """Yield (line_number, row_dict) after validating the header."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"{path}: file does not exist")
-    with path.open(newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             _fail(path, "empty file, expected a header row")
         header = [h.strip() for h in reader.fieldnames]
+        duplicate = sorted({h for h in header if header.count(h) > 1})
+        if duplicate:
+            _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
         missing = [c for c in required if c not in header]
         if missing:
             _fail(path, f"missing required column(s): {', '.join(missing)}")
@@ -330,62 +355,52 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
 
 # ------------------------------------------------------------ cost machinery
 
-def read_cost_profiles_csv(path, grid: CohortGrid) -> dict[str, CostProfile]:
+def _read_cohort_profiles(path, grid, id_column, what, value_column, rejects, make):
+    """Profiles of one value per cohort, keyed by ``id_column``.
+
+    ``rejects(value)`` returns why a value is invalid, or None; each
+    profile is built as ``make(id, grid, values)``.
+    """
     per: dict[str, dict[int, float]] = {}
-    for line, row in _read_rows(path, ("profile_id", "cohort_lo", "cohort_hi", "eur_per_capita")):
-        pid = row["profile_id"]
-        if not pid:
-            _fail(path, "empty profile id", line)
+    for line, row in _read_rows(path, (id_column, "cohort_lo", "cohort_hi", value_column)):
+        key = row[id_column]
+        if not key:
+            _fail(path, f"empty {what} id", line)
         lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
         hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
         _check_cohort_row(path, line, lo, hi)
-        cost = _parse_float(path, line, "eur_per_capita", row["eur_per_capita"])
-        if cost < 0.0:
-            _fail(path, f"negative per-capita cost {cost}", line)
-        entries = per.setdefault(pid, {})
+        value = _parse_float(path, line, value_column, row[value_column])
+        problem = rejects(value)
+        if problem:
+            _fail(path, problem, line)
+        entries = per.setdefault(key, {})
         if lo in entries:
-            _fail(path, f"duplicate cohort {lo} for profile {pid}", line)
-        entries[lo] = cost
+            _fail(path, f"duplicate cohort {lo} for {what} {key}", line)
+        entries[lo] = value
     if not per:
         _fail(path, "no data rows")
-    profiles = {}
-    for pid, entries in per.items():
-        values = []
+    for key, entries in per.items():
         for i, start in enumerate(grid.cohort_starts):
             if start not in entries:
-                _fail(path, f"profile {pid}: missing cohort {grid.cohort_label(i)}")
-            values.append(entries[start])
-        profiles[pid] = CostProfile(profile_id=pid, grid=grid, values=np.array(values))
-    return profiles
+                _fail(path, f"{what} {key}: missing cohort {grid.cohort_label(i)}")
+    return {
+        key: make(key, grid, np.array([entries[start] for start in grid.cohort_starts]))
+        for key, entries in per.items()
+    }
+
+
+def read_cost_profiles_csv(path, grid: CohortGrid) -> dict[str, CostProfile]:
+    return _read_cohort_profiles(
+        path, grid, "profile_id", "profile", "eur_per_capita",
+        lambda v: f"negative per-capita cost {v}" if v < 0.0 else None, CostProfile,
+    )
 
 
 def read_ds_ratios_csv(path, grid: CohortGrid) -> dict[str, DSRatioProfile]:
-    per: dict[str, dict[int, float]] = {}
-    for line, row in _read_rows(path, ("scenario", "cohort_lo", "cohort_hi", "ratio")):
-        scen = row["scenario"]
-        if not scen:
-            _fail(path, "empty scenario id", line)
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        _check_cohort_row(path, line, lo, hi)
-        ratio = _parse_float(path, line, "ratio", row["ratio"])
-        if ratio <= 0.0:
-            _fail(path, f"D/S ratio must be > 0, got {ratio}", line)
-        entries = per.setdefault(scen, {})
-        if lo in entries:
-            _fail(path, f"duplicate cohort {lo} for scenario {scen}", line)
-        entries[lo] = ratio
-    if not per:
-        _fail(path, "no data rows")
-    profiles = {}
-    for scen, entries in per.items():
-        values = []
-        for i, start in enumerate(grid.cohort_starts):
-            if start not in entries:
-                _fail(path, f"scenario {scen}: missing cohort {grid.cohort_label(i)}")
-            values.append(entries[start])
-        profiles[scen] = DSRatioProfile(scenario=scen, grid=grid, values=np.array(values))
-    return profiles
+    return _read_cohort_profiles(
+        path, grid, "scenario", "scenario", "ratio",
+        lambda v: f"D/S ratio must be > 0, got {v}" if v <= 0.0 else None, DSRatioProfile,
+    )
 
 
 def read_shares_csv(path) -> ExpenditureShares:

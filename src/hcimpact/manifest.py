@@ -174,8 +174,10 @@ def parse_manifest(path) -> RunManifest:
     source = Path(path)
     if not source.exists():
         raise ValidationError(f"{source}: manifest file does not exist")
+    with io.open_text(source) as fh:
+        text = fh.read()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(source.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

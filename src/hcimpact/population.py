@@ -22,6 +22,7 @@ __all__ = [
     "PopulationPath",
     "BirthRateScenario",
     "project_population",
+    "annualized",
 ]
 
 
@@ -29,6 +30,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def annualized(pd5: np.ndarray) -> np.ndarray:
+    """One-year death probabilities at a constant 5-year hazard: 1 - (1 - PD)^(1/5)."""
+    return 1.0 - (1.0 - pd5) ** 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +72,8 @@ class MortalityTable:
         return self.death_prob[:, self.grid.date_index(date)]
 
     def annualized_at(self, date: int) -> np.ndarray:
-        """One-year death probabilities at ``date``.
-
-        Constant hazard within the 5-year step: pd1 = 1 - (1 - PD)^(1/5).
-        """
-        return 1.0 - (1.0 - self.at(date)) ** 0.2
+        """One-year death probabilities at ``date`` (see :func:`annualized`)."""
+        return annualized(self.at(date))
 
 
 @dataclass(frozen=True, eq=False)

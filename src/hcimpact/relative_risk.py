@@ -31,15 +31,16 @@ __all__ = [
     "StudyRecord",
     "dilute_relative_risk",
     "apply_mortality_shock",
+    "shock_death_probs",
     "build_rr_envelope",
     "SERVICES",
     "ENVELOPE_POLICIES",
 ]
 
-#: Service codes of the expenditure typology, in canonical order.
+#: Service codes of the expenditure typology, in canonical order, and the
+#: field each one is stored under.
 SERVICES = ("H", "P", "S", "GP", "R", "m")
-
-_SERVICE_FIELDS = {
+SERVICE_FIELDS = {
     "H": "hospital",
     "P": "pharmaceutical",
     "S": "specialist",
@@ -154,29 +155,35 @@ class UtilizationRRSet:
 
     def for_service(self, code: str) -> float:
         try:
-            return float(getattr(self, _SERVICE_FIELDS[code]))
+            return float(getattr(self, SERVICE_FIELDS[code]))
         except KeyError:
             raise ValidationError(f"unknown service code {code!r}") from None
 
 
-def apply_mortality_shock(
-    table: MortalityTable, rr: np.ndarray, window: int
-) -> MortalityTable:
-    """Rescale death probabilities by per-cohort risks at one grid date.
+def shock_death_probs(table: MortalityTable, rr: np.ndarray, window: int) -> np.ndarray:
+    """Death probabilities at one grid date rescaled by per-cohort risks.
 
-    PD'(a, t) = PD(a, t) * rr[a] for t == window and is untouched
-    elsewhere; results are clamped to [0, 1] since PD is a probability.
+    PD'(a) = PD(a, window) * rr[a], clamped to [0, 1] since PD is a
+    probability. ``rr`` is one risk vector or a ``(k, cohorts)`` stack of
+    them, and the result has the same shape.
     """
     rr = np.asarray(rr, dtype=float)
-    if rr.shape != (table.grid.n_cohorts,):
+    if rr.ndim > 2 or rr.shape[-1:] != (table.grid.n_cohorts,):
         raise ValidationError(
             f"risk vector has {rr.shape} entries, grid has {table.grid.n_cohorts} cohorts"
         )
     if np.any(~np.isfinite(rr)) or np.any(rr < 0.0):
         raise ValidationError("risk vector must be finite and >= 0")
-    j = table.grid.date_index(window)
+    return np.clip(table.at(window) * rr, 0.0, 1.0)
+
+
+def apply_mortality_shock(
+    table: MortalityTable, rr: np.ndarray, window: int
+) -> MortalityTable:
+    """Copy of the table with its ``window`` column shocked (:func:`shock_death_probs`)."""
+    column = shock_death_probs(table, rr, window)
     shocked = table.death_prob.copy()
-    shocked[:, j] = np.clip(shocked[:, j] * rr, 0.0, 1.0)
+    shocked[:, table.grid.date_index(window)] = column
     return MortalityTable(
         grid=table.grid, death_prob=shocked, life_expectancy=table.life_expectancy
     )

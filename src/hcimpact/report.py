@@ -65,7 +65,7 @@ def sniff_schema(path) -> str:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"{path}: file does not exist")
-    with path.open(newline="") as fh:
+    with io.open_text(path) as fh:
         header_row = next(csv.reader(fh), None)
     if header_row is None:
         raise ValidationError(f"{path}: empty file, expected a header row")
@@ -76,7 +76,7 @@ def sniff_schema(path) -> str:
 
 
 def _has_rows(path) -> bool:
-    with Path(path).open(newline="") as fh:
+    with io.open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)  # header
         return any(any(cell.strip() for cell in row) for row in reader)

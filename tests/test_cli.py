@@ -298,3 +298,30 @@ class TestEntryPoint:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
         assert run_cli("impact", "--manifest", tmp_path / "nope.txt",
                        "--out", tmp_path / "o") == 2
+
+
+class TestNonUtf8Input:
+    def test_input_file_is_input_error_with_line(self, tmp_path, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        (tmp_path / "b" / "gdp.csv").write_bytes(
+            b"date,eur_millions\n2010,1520346\n2015,\xe91520346\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert "gdp.csv:3: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_is_input_error_with_line(self, tmp_path, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        manifest.write_bytes(manifest.read_bytes() + b"# caf\xe9\n")
+        n_lines = manifest.read_bytes().count(b"\n")
+        assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / "o") == 2
+        assert f"manifest.txt:{n_lines}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_report_source_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x,y\n1,\xff\n")
+        m = tmp_path / "report.txt"
+        m.write_text(f"report.files = {bad}\n")
+        assert run_cli("report", "--manifest", m, "--out", tmp_path / "rep") == 2
+        assert "bad.csv:2: not valid UTF-8" in capsys.readouterr().err

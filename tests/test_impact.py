@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hcimpact import (
+    MODELS,
     CostProfile,
     DSRatioProfile,
     LaborMarketState,
@@ -15,12 +16,14 @@ from hcimpact import (
     ScenarioInputs,
     UtilizationRRSet,
     ValidationError,
+    apply_mortality_shock,
     cri,
     crimi,
     criui,
     evaluate_model,
     gdp_share_pct,
     parse_selector,
+    rescaling_factor,
     sensitivity_grid,
 )
 
@@ -290,3 +293,141 @@ class TestSelectorParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):
             parse_selector("middle")
+
+
+# ---------------------------------------------------------------------------
+# The batched grid against the scalar path it replaced. ``_scalar_evaluations``
+# is a copy of that path (three full expenditure paths per cell, one date
+# kept) and lives only here, as the reference.
+
+def _lookup(mapping, key, what):
+    try:
+        return mapping[key]
+    except KeyError:
+        valid = ", ".join(sorted(map(str, mapping))) or "(none)"
+        raise ValidationError(f"unknown {what} {key!r}; valid ids: {valid}") from None
+
+
+def _scalar_evaluations(config, inputs):
+    """(base value, shocked value, rescaled value, rf) of one cell, the old way."""
+    if config.model not in MODELS:
+        raise ValidationError(f"unknown model {config.model!r}; valid ids: {', '.join(MODELS)}")
+    pop = _lookup(inputs.populations, config.population, "population scenario")
+    costs = _lookup(inputs.cost_profiles, config.cost_profile, "cost profile")
+    ds = _lookup(inputs.ds_profiles, config.ds_scenario, "D/S scenario")
+    params, t = inputs.params, config.shock_date
+
+    def value(costs, mortality):
+        return evaluate_model(config.model, pop, costs, ds, mortality, params).value_at(t)
+
+    base = value(costs, inputs.mortality)
+    sel = config.rr_selection
+    if isinstance(sel, str):
+        rr = inputs.rr_mortality.select(sel)
+    else:
+        rr = MortalityRRTable.uniform(inputs.grid, sel).select("lower")
+    shocked = value(costs, apply_mortality_shock(inputs.mortality, rr, t))
+    sel = config.rf_selection
+    if isinstance(sel, str):
+        if sel not in inputs.rr_utilization:
+            raise ValidationError(
+                f"no utilization risk set {sel!r}; valid ids: "
+                f"{', '.join(sorted(inputs.rr_utilization))}"
+            )
+        rf = rescaling_factor(inputs.shares, inputs.rr_utilization[sel])
+    else:
+        rf = float(sel)
+        if not np.isfinite(rf) or rf < 0.0:
+            raise ValidationError(f"uniform rescaling factor must be >= 0, got {rf}")
+    rescaled = value(costs.scaled(rf), inputs.mortality)
+    return base, shocked, rescaled, rf
+
+
+class TestBatchedGridMatchesScalarPath:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_grid_equals_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_dates = int(rng.integers(1, 5))
+        shock_date = 2010 + 5 * int(rng.integers(0, n_dates))  # base date included
+        inputs, config = random_inputs(
+            rng, n_dates=n_dates, shock_date=shock_date, n_scenarios=2
+        )
+        rr_values = ["lower", "upper", 0.0, 1.0, 50.0, float(rng.uniform(0.5, 2.0))]
+        rf_values = ["lower", "upper", 0.0, 1.0, float(rng.uniform(0.5, 2.0))]
+        models, pops = ["PD", "CH", "DC"], ["S0", "S1"]
+        # an RR of 50 clamps some shocked death probabilities to 1
+        assert np.any(inputs.mortality.at(shock_date) * 50.0 > 1.0)
+
+        rows = sensitivity_grid(config, inputs, rr_values, rf_values, models, pops)
+        coords = [(m, p, rr, rf) for m in models for p in pops
+                  for rr in rr_values for rf in rf_values]
+        assert len(rows) == len(coords)
+        for row, (model, pop, rr_sel, rf_sel) in zip(rows, coords):
+            cell = replace(config, model=model, population=pop,
+                           rr_selection=rr_sel, rf_selection=rf_sel)
+            base, shocked, rescaled, rf = _scalar_evaluations(cell, inputs)
+            assert (row.model, row.pop_scenario, row.rr_selector) == (model, pop, rr_sel)
+            assert row.rf == rf
+            assert row.result.crimi == shocked - base
+            assert row.result.criui == rescaled - base
+            assert row.result.gdp == inputs.params.gdp[shock_date]
+            assert row.result == cri(cell, inputs)
+            if model != "DC":
+                assert row.result.crimi == 0.0
+
+    def test_shock_at_base_date_moves_the_dc_cost_split(self, rng):
+        inputs, config = random_inputs(rng, n_dates=3, shock_date=2010)
+        rows = sensitivity_grid(config, inputs, [1.3], [1.0], ["DC"], ["S0"])
+        base, shocked, _, _ = _scalar_evaluations(
+            replace(config, rr_selection=1.3, rf_selection=1.0), inputs
+        )
+        assert rows[0].result.crimi == shocked - base
+        assert rows[0].result.criui == 0.0
+
+    def test_ch_at_zero_rate_equals_pd_bit_for_bit(self, rng):
+        inputs, config = random_inputs(rng, n_scenarios=2)
+        inputs = replace_inputs(inputs, params=ModelParameters(
+            utilization=1.0, health_improvement_rate=0.0, gdp=inputs.params.gdp))
+        axes = (["lower", 1.4], ["upper", 0.0, 1.2])
+        pd_rows = sensitivity_grid(config, inputs, *axes, ["PD"], ["S0", "S1"])
+        ch_rows = sensitivity_grid(config, inputs, *axes, ["CH"], ["S0", "S1"])
+        assert [r.result for r in pd_rows] == [r.result for r in ch_rows]
+
+
+class TestBatchedGridValidation:
+    AXES = dict(rr_values=["upper", 1.2], rf_values=["lower", 1.05],
+                models=["PD", "DC"], pop_scenarios=["S0"])
+
+    @pytest.mark.parametrize("axis, bad", [
+        ("models", "XX"),
+        ("pop_scenarios", "missing"),
+        ("rr_values", "middle"),
+        ("rr_values", -1.0),
+        ("rr_values", float("nan")),
+        ("rf_values", "middle"),
+        ("rf_values", -0.5),
+        ("rf_values", float("inf")),
+    ])
+    def test_bad_selector_raises_the_scalar_error(self, rng, axis, bad):
+        inputs, config = random_inputs(rng)
+        axes = {k: list(v) for k, v in self.AXES.items()}
+        axes[axis].insert(1, bad)  # among valid entries, not first
+        field = {"models": "model", "pop_scenarios": "population",
+                 "rr_values": "rr_selection", "rf_values": "rf_selection"}[axis]
+        with pytest.raises(ValidationError) as scalar:
+            _scalar_evaluations(replace(config, **{field: bad}), inputs)
+        with pytest.raises(ValidationError) as batched:
+            sensitivity_grid(config, inputs, **axes)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("cost_profile", "nope"), ("ds_scenario", "nope"), ("shock_date", 2013),
+    ])
+    def test_bad_base_field_raises_the_scalar_error(self, rng, field, bad):
+        inputs, config = random_inputs(rng)
+        config = replace(config, **{field: bad})
+        with pytest.raises(ValidationError) as scalar:
+            _scalar_evaluations(config, inputs)
+        with pytest.raises(ValidationError) as batched:
+            sensitivity_grid(config, inputs, **self.AXES)
+        assert str(batched.value) == str(scalar.value)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcimpact import (
     ExpenditurePath,
@@ -220,3 +222,71 @@ class TestResultFiles:
 
         io.write_series_csv([1.0], [2.0], tmp_path / "xy.csv")
         io.read_series_csv(tmp_path / "xy.csv")
+
+
+class TestEncodingAndHeader:
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        f = tmp_path / "gdp.csv"
+        f.write_bytes(b"date,eur_millions\n2010,1\n2015,\xff2\n")
+        with pytest.raises(ValidationError, match=r"gdp\.csv:3: not valid UTF-8"):
+            io.read_gdp_csv(f)
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        f = tmp_path / "gdp.csv"
+        f.write_bytes(b"\xef\xbb\xbfdate,eur_millions\n2010,1\n")
+        assert io.read_gdp_csv(f) == {2010: 1.0}
+
+    def test_duplicate_header_column_rejected(self, tmp_path):
+        f = tmp_path / "gdp.csv"
+        f.write_text("date,eur_millions,date\n2010,1,2011\n")
+        with pytest.raises(ValidationError, match="duplicate column"):
+            io.read_gdp_csv(f)
+
+
+_GRID = grid_of(2, 2)
+_READERS = {  # reader name: (call on a path, a valid header)
+    "read_population_csv": (
+        io.read_population_csv, "scenario,date,cohort_lo,cohort_hi,count_thousands"),
+    "read_mortality_csv": (
+        io.read_mortality_csv, "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy"),
+    "read_rr_mortality_csv": (
+        io.read_rr_mortality_csv, "cohort_lo,cohort_hi,rr_lower,rr_upper,diluted,source_tag"),
+    "read_rr_utilization_csv": (
+        lambda p: io.read_rr_utilization_csv(p, LaborMarketState(0.1)), "service,rr,diluted"),
+    "read_cost_profiles_csv": (
+        lambda p: io.read_cost_profiles_csv(p, _GRID),
+        "profile_id,cohort_lo,cohort_hi,eur_per_capita"),
+    "read_ds_ratios_csv": (
+        lambda p: io.read_ds_ratios_csv(p, _GRID), "scenario,cohort_lo,cohort_hi,ratio"),
+    "read_shares_csv": (io.read_shares_csv, "service,fraction"),
+    "read_gdp_csv": (io.read_gdp_csv, "date,eur_millions"),
+    "read_impact_csv": (io.read_impact_csv, ",".join(io.IMPACT_COLUMNS)),
+    "read_expenditure_csv": (io.read_expenditure_csv, "model,scenario,date,eur_millions"),
+    "read_series_csv": (io.read_series_csv, "x,y"),
+}
+
+
+def test_every_reader_is_fuzzed():
+    assert sorted(_READERS) == sorted(n for n in io.__all__ if n.startswith("read_"))
+
+
+# raw bytes, or CSV-like UTF-8 text (with BOMs and a non-ASCII letter)
+_BODIES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.,-+e \"\n\rHPSGRmabCD\ufeff\xe9", max_size=200).map(
+        lambda t: t.encode("utf-8")
+    ),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=40, deadline=None)
+@given(with_header=st.booleans(), body=_BODIES)
+def test_reader_parses_or_rejects_any_bytes(tmp_path_factory, name, with_header, body):
+    reader, header = _READERS[name]
+    f = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    f.write_bytes((header.encode() + b"\n" if with_header else b"") + body)
+    try:
+        reader(f)
+    except ValidationError:
+        pass
