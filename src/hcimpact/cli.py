@@ -5,15 +5,18 @@ scenario evaluation), ``sensitivity`` (grid sweep), ``report`` (render
 result files into aligned tables and plot series).
 
 Every command first parses and validates all manifest inputs, then
-computes its complete output set in memory, then writes; a failing input
-never leaves partial output behind. Exit codes: 0 success, 2 input or
-validation error, 3 internal numerical error.
+computes its complete output set in memory, then writes it as a whole;
+neither a failing input nor a failing write leaves partial output behind.
+Exit codes: 0 success, 2 input or validation error, 3 internal numerical
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import io
@@ -31,26 +34,40 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _config_echo(config, rf: float | None = None) -> list[str]:
+def _config_echo(manifest: RunManifest, config, rf: float) -> list[str]:
+    """Every field of ``config``, then the settings the inputs were loaded with."""
+    labor, policy = manifest.risk_settings()
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    values.update(unemployment_rate=labor.unemployment_rate, envelope_policy=policy)
     lines = [
-        f"scenario.population = {config.population}",
-        f"scenario.model = {config.model}",
-        f"scenario.cost_profile = {config.cost_profile}",
-        f"scenario.ds_scenario = {config.ds_scenario}",
-        f"scenario.rr_selection = {io.selector_text(config.rr_selection)}",
-        f"scenario.rf_selection = {io.selector_text(config.rf_selection)}",
-        f"scenario.shock_date = {config.shock_date}",
-        f"scenario.unemployment_rate = {io.fmt_value(config.labor.unemployment_rate)}",
-        f"scenario.envelope_policy = {config.envelope_policy}",
+        f"scenario.{key} = {v if isinstance(v, (str, int)) else io.fmt_value(v)}"
+        for key, v in values.items()
     ]
-    if rf is not None:
-        lines.append(f"resolved rescaling factor = {io.fmt_value(rf)}")
-    return lines
+    return lines + [f"resolved rescaling factor = {io.fmt_value(rf)}"]
+
+
+def _eur(value: float, gdp_pct: float) -> str:
+    return f"{io.fmt_value(value)} EUR millions ({io.fmt_value(gdp_pct)}% of GDP)"
 
 
 # ------------------------------------------------------------------ builders
 # Each builder returns ({relative filename: content}, stdout lines) without
 # touching the filesystem, so runs are comparable and writes happen last.
+
+def _add_output(files, sources, name: str, content: str, source: str) -> None:
+    """Add one output file named from ``source``, a manifest key or an input file.
+
+    A name that is not a plain file name, or that an earlier output took
+    (``sources`` maps each taken name to its source), is rejected.
+    """
+    if Path(name).name != name or "\0" in name:
+        raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
+    if name in sources:
+        both = source if sources[name] == source else f"{sources[name]} and {source}"
+        raise ValidationError(f"{both}: output file {name} would be written twice")
+    files[name] = content
+    sources[name] = source
+
 
 def _build_project(manifest: RunManifest, fmt: str):
     inputs = manifest.load_inputs()
@@ -67,9 +84,10 @@ def _build_project(manifest: RunManifest, fmt: str):
             f"unknown initial population scenario {initial_id!r}; valid ids: "
             f"{', '.join(sorted(inputs.populations))}"
         )
-    horizon = manifest.get_int("project.horizon", inputs.grid.dates[-1])
+    horizon = manifest.number("project.horizon", inputs.grid.dates[-1], int)
 
     files: dict[str, str] = {}
+    sources: dict[str, str] = {}
     stdout = []
     initial = inputs.populations[initial_id].counts[:, 0]
     for name, rate_text in zip(names, rates):
@@ -93,9 +111,10 @@ def _build_project(manifest: RunManifest, fmt: str):
                 [grid.cohort_label(i)] + list(projected.counts[i, :])
                 for i in range(grid.n_cohorts)
             ]
-            files[f"population_{name}.txt"] = render_table(headers, rows)
+            output = f"population_{name}.txt", render_table(headers, rows)
         else:
-            files[f"population_{name}.csv"] = io.population_csv_text([projected])
+            output = f"population_{name}.csv", io.population_csv_text([projected])
+        _add_output(files, sources, *output, "project.scenarios")
         stdout.append(
             f"projected {name}: birth rate {io.fmt_value(rate)}, "
             f"{projected.grid.n_cohorts} cohorts x {projected.grid.n_dates} dates"
@@ -103,57 +122,57 @@ def _build_project(manifest: RunManifest, fmt: str):
     return files, stdout
 
 
-def _build_impact(manifest: RunManifest, fmt: str):
+def _impact_inputs(manifest: RunManifest):
+    """Inputs and base scenario of an impact evaluation, with GDP at the shock date."""
     inputs = manifest.load_inputs()
     config = manifest.scenario_config()
-    if inputs.params.gdp is None or config.shock_date not in inputs.params.gdp:
+    if config.shock_date not in inputs.params.gdp:
         raise ValidationError(f"GDP path does not cover the shock date {config.shock_date}")
+    return inputs, config
 
+
+def _impact_table(stem: str, rows, fmt: str) -> dict[str, str]:
+    """The impact result file of ``rows``: ``{stem}.csv`` or an aligned ``{stem}.txt``."""
+    if fmt == "csv":
+        return {f"{stem}.csv": io.impact_csv_text(rows)}
+    cells = [[
+        r.model, r.pop_scenario, io.selector_text(r.rr_selector), r.rf,
+        r.result.crimi, r.result.criui, r.result.cri, r.result.cri_gdp_pct,
+    ] for r in rows]
+    return {f"{stem}.txt": render_table(list(io.IMPACT_COLUMNS), cells)}
+
+
+def _build_impact(manifest: RunManifest, fmt: str):
+    inputs, config = _impact_inputs(manifest)
     row = impact_row(config, inputs)
-    result, rf = row.result, row.rf
+    result = row.result
     base_path = evaluate_model(  # impact_row has resolved every id
         config.model, inputs.populations[config.population],
         inputs.cost_profiles[config.cost_profile], inputs.ds_profiles[config.ds_scenario],
         inputs.mortality, inputs.params,
     )
 
-    files: dict[str, str] = {}
+    files = _impact_table("impact", [row], fmt)
     if fmt == "table":
-        headers = list(io.IMPACT_COLUMNS)
-        files["impact.txt"] = render_table(
-            headers,
-            [[
-                row.model, row.pop_scenario, io.selector_text(row.rr_selector), row.rf,
-                result.crimi, result.criui, result.cri, result.cri_gdp_pct,
-            ]],
-        )
         files["expenditure.txt"] = render_table(
             ["model", "scenario", "date", "eur_millions"],
             [[base_path.model, base_path.scenario, d, v]
              for d, v in zip(base_path.dates, base_path.values)],
         )
     else:
-        files["impact.csv"] = io.impact_csv_text([row])
         files["expenditure.csv"] = io.expenditure_csv_text([base_path])
 
-    stdout = _config_echo(config, rf)
+    stdout = _config_echo(manifest, config, row.rf)
     stdout += [
-        f"crimi = {io.fmt_value(result.crimi)} EUR millions "
-        f"({io.fmt_value(result.crimi_gdp_pct)}% of GDP)",
-        f"criui = {io.fmt_value(result.criui)} EUR millions "
-        f"({io.fmt_value(result.criui_gdp_pct)}% of GDP)",
-        f"cri = {io.fmt_value(result.cri)} EUR millions "
-        f"({io.fmt_value(result.cri_gdp_pct)}% of GDP)",
+        f"crimi = {_eur(result.crimi, result.crimi_gdp_pct)}",
+        f"criui = {_eur(result.criui, result.criui_gdp_pct)}",
+        f"cri = {_eur(result.cri, result.cri_gdp_pct)}",
     ]
     return files, stdout
 
 
 def _build_sensitivity(manifest: RunManifest, fmt: str):
-    inputs = manifest.load_inputs()
-    base = manifest.scenario_config()
-    if inputs.params.gdp is None or base.shock_date not in inputs.params.gdp:
-        raise ValidationError(f"GDP path does not cover the shock date {base.shock_date}")
-
+    inputs, base = _impact_inputs(manifest)
     models = manifest.get_list("sensitivity.models")
     pops = manifest.get_list("sensitivity.populations")
     rr_values = [parse_selector(s) for s in manifest.get_list("sensitivity.rr_values")]
@@ -161,58 +180,64 @@ def _build_sensitivity(manifest: RunManifest, fmt: str):
 
     rows = sensitivity_grid(base, inputs, rr_values, rf_values, models, pops)
 
-    files: dict[str, str] = {}
-    if fmt == "table":
-        files["sensitivity.txt"] = render_table(
-            list(io.IMPACT_COLUMNS),
-            [[
-                r.model, r.pop_scenario, io.selector_text(r.rr_selector), r.rf,
-                r.result.crimi, r.result.criui, r.result.cri, r.result.cri_gdp_pct,
-            ] for r in rows],
-        )
-    else:
-        files["sensitivity.csv"] = io.impact_csv_text(rows)
-
     lo = min(rows, key=lambda r: r.result.cri)
     hi = max(rows, key=lambda r: r.result.cri)
     stdout = [
         f"grid cells = {len(rows)}",
-        f"CRI min = {io.fmt_value(lo.result.cri)} EUR millions "
-        f"({io.fmt_value(lo.result.cri_gdp_pct)}% of GDP)",
-        f"CRI max = {io.fmt_value(hi.result.cri)} EUR millions "
-        f"({io.fmt_value(hi.result.cri_gdp_pct)}% of GDP)",
+        f"CRI min = {_eur(lo.result.cri, lo.result.cri_gdp_pct)}",
+        f"CRI max = {_eur(hi.result.cri, hi.result.cri_gdp_pct)}",
     ]
-    return files, stdout
+    return _impact_table("sensitivity", rows, fmt), stdout
 
 
 def _build_report(manifest: RunManifest, fmt: str):
-    sources = manifest.paths("report.files")
     files: dict[str, str] = {}
+    sources: dict[str, str] = {}
     stdout = []
-    for src in sources:
+    for src in manifest.paths("report.files"):
         table, series = render_result_file(src)
-        stem = src.stem
         if table is None:
             stdout.append(f"no rows in {src.name}")
             continue
-        files[f"{stem}_table.txt"] = table
+        _add_output(files, sources, f"{src.stem}_table.txt", table, str(src))
         for name, xs, ys in series:
-            files[f"{stem}_series_{name}.csv"] = io.series_csv_text(xs, ys)
+            text = io.series_csv_text(xs, ys)
+            _add_output(files, sources, f"{src.stem}_series_{name}.csv", text, str(src))
         stdout.append(f"rendered {src.name}")
     return files, stdout
 
 
-_BUILDERS = {
-    "project": _build_project,
-    "impact": _build_impact,
-    "sensitivity": _build_sensitivity,
-    "report": _build_report,
+def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file or none: each goes to a temporary file in ``out_dir``,
+    and only once all writes succeeded are they renamed onto their targets.
+    On a failed write the temporary files are removed and no target changes.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[tuple[Path, Path]] = []
+    try:
+        for name, content in files.items():
+            temp = out_dir / f".{name}.{os.getpid()}.tmp"
+            with open(temp, "x") as fh:
+                written.append((temp, out_dir / name))
+                fh.write(content)
+        for temp, target in written:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in written:
+            temp.unlink(missing_ok=True)
+
+
+_COMMANDS = {  # name: (builder, help text)
+    "project": (_build_project, "simulate birth-rate population scenarios and write path files"),
+    "impact": (_build_impact, "evaluate one crisis scenario against its base"),
+    "sensitivity": (_build_sensitivity, "sweep the scenario grid and summarize the CRI range"),
+    "report": (_build_report, "render result files as aligned tables and plot series"),
 }
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
-    builder = _BUILDERS[command]
+    builder = _COMMANDS[command][0]
 
     files, stdout = builder(manifest, args.format)
     if args.seedless:
@@ -221,10 +246,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
         if files != files2 or stdout != stdout2:
             raise NumericalError("outputs differ between two identical evaluations")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (out_dir / name).write_text(content)
+    _write_outputs(Path(args.out), files)
     for line in stdout:
         print(line)
     return EXIT_OK
@@ -237,12 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         "on public healthcare expenditure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("project", "simulate birth-rate population scenarios and write path files"),
-        ("impact", "evaluate one crisis scenario against its base"),
-        ("sensitivity", "sweep the scenario grid and summarize the CRI range"),
-        ("report", "render result files as aligned tables and plot series"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True, help="run manifest file")
         p.add_argument("--out", default="out", help="output directory (default: out)")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grid import CohortGrid
 from .population import MortalityTable, PopulationPath, annualized
-from .relative_risk import SERVICE_FIELDS, SERVICES, UtilizationRRSet
+from .relative_risk import SERVICES, ServiceValues, UtilizationRRSet
 
 __all__ = [
     "CostProfile",
@@ -102,32 +102,17 @@ class DSRatioProfile:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class ExpenditureShares:
+class ExpenditureShares(ServiceValues):
     """Fractions of total public healthcare expenditure by service type."""
 
-    hospital: float
-    pharmaceutical: float
-    specialist: float
-    general_practice: float
-    rehabilitation: float
-    minor: float
+    _label = "share"
+    _range, _range_text = (0.0, 1.0), "in [0, 1]"
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for code in SERVICES:
-            v = self.for_service(code)
-            if not np.isfinite(v) or not (0.0 <= v <= 1.0):
-                raise ValidationError(f"share for {code} must be in [0, 1]")
-            total += v
+        super().__post_init__()
+        total = sum(self.for_service(code) for code in SERVICES)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"shares must sum to 1 within 1e-9, got {total!r}")
-
-    def for_service(self, code: str) -> float:
-        try:
-            return float(getattr(self, SERVICE_FIELDS[code]))
-        except KeyError:
-            raise ValidationError(f"unknown service code {code!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,14 +45,6 @@ class CohortGrid:
                     f"projection dates must step by {DATE_STEP} years, got {a} then {b}"
                 )
 
-    @classmethod
-    def standard(cls, first_date: int = 2010, last_date: int = 2060) -> "CohortGrid":
-        """The production grid: 20 cohorts 0-4 ... 95+, dates every 5 years."""
-        return cls(
-            cohort_starts=tuple(range(0, 100, COHORT_WIDTH)),
-            dates=tuple(range(first_date, last_date + 1, DATE_STEP)),
-        )
-
     @property
     def n_cohorts(self) -> int:
         return len(self.cohort_starts)

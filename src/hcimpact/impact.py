@@ -40,12 +40,7 @@ from .expenditure import (
 )
 from .grid import CohortGrid
 from .population import MortalityTable, PopulationPath
-from .relative_risk import (
-    LaborMarketState,
-    MortalityRRTable,
-    UtilizationRRSet,
-    shock_death_probs,
-)
+from .relative_risk import MortalityRRTable, UtilizationRRSet, shock_death_probs
 
 __all__ = [
     "ScenarioConfig",
@@ -86,7 +81,12 @@ def gdp_share_pct(value_eur_m: float, gdp_eur_m: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to evaluate one crisis scenario against its base."""
+    """Everything needed to evaluate one crisis scenario against its base.
+
+    The unemployment rate and the envelope policy are not fields here:
+    they shape the risk tables of :class:`ScenarioInputs` when those are
+    loaded (see :meth:`hcimpact.manifest.RunManifest.load_inputs`).
+    """
 
     population: str
     model: str
@@ -95,8 +95,6 @@ class ScenarioConfig:
     rr_selection: str | float = "upper"
     rf_selection: str | float = "upper"
     shock_date: int = 2015
-    labor: LaborMarketState = LaborMarketState(0.10)
-    envelope_policy: str = "population_level"
 
 
 @dataclass(frozen=True, eq=False)

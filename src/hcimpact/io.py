@@ -9,6 +9,7 @@ and written files re-parse verbatim.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -87,9 +88,12 @@ def _fail(path, msg: str, line: int | None = None) -> None:
 def open_text(path):
     """Open an input file as UTF-8 text for ``csv``; a leading BOM is dropped.
 
-    A byte that does not decode, or a line ``csv`` cannot split, raises
-    ``ValidationError`` naming the file (and the line of the bad byte).
+    A missing file, a byte that does not decode, or a line ``csv`` cannot
+    split raises ``ValidationError`` naming the file (and the line of the
+    bad byte).
     """
+    if not Path(path).exists():
+        _fail(path, "file does not exist")
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             yield fh
@@ -106,14 +110,12 @@ def open_text(path):
 
 def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
     """Yield (line_number, row_dict) after validating the header."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"{path}: file does not exist")
     with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
             _fail(path, "empty file, expected a header row")
-        header = [h.strip() for h in reader.fieldnames]
+        header = [h.strip() for h in first]
         duplicate = sorted({h for h in header if header.count(h) > 1})
         if duplicate:
             _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
@@ -123,10 +125,13 @@ def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
         unknown = [c for c in header if c not in (*required, *optional)]
         if unknown:
             _fail(path, f"unknown column(s): {', '.join(unknown)}")
+        width = len(header)
         for row in reader:
-            if row.get(None):
+            if len(row) > width:
                 _fail(path, "row has more fields than the header", reader.line_num)
-            yield reader.line_num, {k.strip(): (v or "").strip() for k, v in row.items() if k}
+            if row:  # blank lines are skipped; short rows read as empty fields
+                cells = [v.strip() for v in row] + [""] * (width - len(row))
+                yield reader.line_num, dict(zip(header, cells))
 
 
 def _parse_float(path, line: int, column: str, text: str) -> float:
@@ -134,7 +139,7 @@ def _parse_float(path, line: int, column: str, text: str) -> float:
         v = float(text)
     except ValueError:
         _fail(path, f"column {column!r}: {text!r} is not a number", line)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         _fail(path, f"column {column!r}: value must be finite", line)
     return v
 
@@ -152,63 +157,91 @@ def _parse_flag(path, line: int, column: str, text: str) -> bool:
     return text == "1"
 
 
-def _check_cohort_row(path, line: int, lo: int, hi: int) -> None:
-    if hi - lo != COHORT_WIDTH - 1:
-        _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+def _text(path, line: int, column: str, text: str) -> str:
+    return text
 
 
-def _grid_from_cells(path, starts: set[int], dates: set[int]) -> CohortGrid:
-    try:
-        return CohortGrid(tuple(sorted(starts)), tuple(sorted(dates)))
-    except ValidationError as exc:
-        # date gaps and cohort gaps both surface here
-        _fail(path, str(exc))
+def _read_records(path, parsers):
+    """Yield ``(line, values)``, each column of ``parsers`` parsed by its parser."""
+    for line, row in _read_rows(path, tuple(parsers)):
+        yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
+
+
+def _read_cohort_table(path, value_column, rejects, key=None, grid=None, unused=()):
+    """The one reader of cohort-indexed tables: the grid and ``{id: values}``.
+
+    ``key`` is the id column of a file of several tables (messages call an
+    id by the column name without ``_id``), or None for a file of one,
+    stored under id None. Without a ``grid`` the file has a ``date``
+    column, the grid is read from its cells and each table is a
+    ``(cohorts, dates)`` array; with one, each table is one value per
+    cohort of ``grid``. ``rejects(value)`` returns why a value is invalid,
+    or None. Columns in ``unused`` are optional numbers that are validated
+    but not kept.
+    """
+    dated = grid is None
+    what = key and key.removesuffix("_id")
+    columns = ((key,) if key else ()) + (("date",) if dated else ()) + (
+        "cohort_lo", "cohort_hi", value_column)
+    tables: dict[str | None, dict] = {}
+    date = None
+    for line, row in _read_rows(path, columns, optional=unused):
+        table_id = row[key] if key else None
+        if key and not table_id:
+            _fail(path, f"empty {what} id", line)
+        if dated:
+            date = _parse_int(path, line, "date", row["date"])
+        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
+        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
+        if hi - lo != COHORT_WIDTH - 1:
+            _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+        value = _parse_float(path, line, value_column, row[value_column])
+        problem = rejects(value)
+        if problem:
+            _fail(path, problem, line)
+        for column in unused:
+            if row.get(column):
+                _parse_float(path, line, column, row[column])
+        cells = tables.setdefault(table_id, {})
+        if (lo, date) in cells:
+            owner = f"{what} {table_id}, " if key else ""
+            when = f", date {date}" if dated else ""
+            _fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
+        cells[(lo, date)] = value
+    if not tables:
+        _fail(path, "no data rows")
+    if dated:
+        starts = {lo for cells in tables.values() for lo, _ in cells}
+        dates = {d for cells in tables.values() for _, d in cells}
+        try:
+            grid = CohortGrid(tuple(sorted(starts)), tuple(sorted(dates)))
+        except ValidationError as exc:  # date gaps and cohort gaps both surface here
+            _fail(path, str(exc))
+    order = [(lo, d) for lo in grid.cohort_starts for d in (grid.dates if dated else (None,))]
+    shape = (grid.n_cohorts, grid.n_dates) if dated else (grid.n_cohorts,)
+    values = {}
+    for table_id, cells in tables.items():
+        try:
+            values[table_id] = np.array([cells[cell] for cell in order]).reshape(shape)
+        except KeyError as exc:
+            lo, d = exc.args[0]
+            label = grid.cohort_label(grid.cohort_starts.index(lo))
+            owner = f"{what} {table_id}: " if key else ""
+            missing = f"missing cohort {label}" if d is None else (
+                f"missing cell for cohort {label} at date {d}")
+            _fail(path, owner + missing)
+    return grid, values
 
 
 # ---------------------------------------------------------------- population
 
 def read_population_csv(path) -> dict[str, PopulationPath]:
     """Parse every scenario of a population file, validating coverage."""
-    cells: dict[str, dict[tuple[int, int], float]] = {}
-    starts: set[int] = set()
-    dates: set[int] = set()
-    for line, row in _read_rows(
-        path, ("scenario", "date", "cohort_lo", "cohort_hi", "count_thousands")
-    ):
-        scen = row["scenario"]
-        if not scen:
-            _fail(path, "empty scenario id", line)
-        date = _parse_int(path, line, "date", row["date"])
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        _check_cohort_row(path, line, lo, hi)
-        count = _parse_float(path, line, "count_thousands", row["count_thousands"])
-        if count < 0.0:
-            _fail(path, f"negative head-count {count}", line)
-        key = (lo, date)
-        per = cells.setdefault(scen, {})
-        if key in per:
-            _fail(path, f"duplicate cell for scenario {scen}, cohort {lo}, date {date}", line)
-        per[key] = count
-        starts.add(lo)
-        dates.add(date)
-    if not cells:
-        _fail(path, "no data rows")
-    grid = _grid_from_cells(path, starts, dates)
-    paths: dict[str, PopulationPath] = {}
-    for scen, per in cells.items():
-        counts = np.zeros((grid.n_cohorts, grid.n_dates))
-        for i, start in enumerate(grid.cohort_starts):
-            for j, date in enumerate(grid.dates):
-                if (start, date) not in per:
-                    _fail(
-                        path,
-                        f"scenario {scen}: missing cell for cohort "
-                        f"{grid.cohort_label(i)} at date {date}",
-                    )
-                counts[i, j] = per[(start, date)]
-        paths[scen] = PopulationPath(scenario=scen, grid=grid, counts=counts)
-    return paths
+    grid, counts = _read_cohort_table(
+        path, "count_thousands", lambda v: f"negative head-count {v}" if v < 0.0 else None,
+        key="scenario",
+    )
+    return {s: PopulationPath(scenario=s, grid=grid, counts=c) for s, c in counts.items()}
 
 
 def load_exogenous_path(name: str, source) -> PopulationPath:
@@ -221,16 +254,19 @@ def load_exogenous_path(name: str, source) -> PopulationPath:
     return paths[name]
 
 
+def _cohort_lines(grid: CohortGrid, values: np.ndarray, prefix: str = "") -> list[str]:
+    """Rows ``{prefix}date,cohort_lo,cohort_hi,value`` of a dated table, cohort by cohort."""
+    return [
+        f"{prefix}{date},{lo},{hi},{fmt_value(values[i, j])}"
+        for i, (lo, hi) in enumerate(map(grid.cohort_bounds, range(grid.n_cohorts)))
+        for j, date in enumerate(grid.dates)
+    ]
+
+
 def population_csv_text(paths: Iterable[PopulationPath]) -> str:
     lines = ["scenario,date,cohort_lo,cohort_hi,count_thousands"]
     for p in paths:
-        g = p.grid
-        for i in range(g.n_cohorts):
-            lo, hi = g.cohort_bounds(i)
-            for j, date in enumerate(g.dates):
-                lines.append(
-                    f"{p.scenario},{date},{lo},{hi},{fmt_value(p.counts[i, j])}"
-                )
+        lines += _cohort_lines(p.grid, p.counts, f"{p.scenario},")
     return "\n".join(lines) + "\n"
 
 
@@ -241,52 +277,18 @@ def write_population_csv(paths: Iterable[PopulationPath], out) -> None:
 # ----------------------------------------------------------------- mortality
 
 def read_mortality_csv(path) -> MortalityTable:
-    cells: dict[tuple[int, int], tuple[float, float | None]] = {}
-    starts: set[int] = set()
-    dates: set[int] = set()
-    has_le = False
-    for line, row in _read_rows(
-        path, ("date", "cohort_lo", "cohort_hi", "pd_5yr"), optional=("life_expectancy",)
-    ):
-        date = _parse_int(path, line, "date", row["date"])
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        _check_cohort_row(path, line, lo, hi)
-        pd5 = _parse_float(path, line, "pd_5yr", row["pd_5yr"])
-        if not (0.0 <= pd5 <= 1.0):
-            _fail(path, f"death probability {pd5} outside [0, 1]", line)
-        le = None
-        if row.get("life_expectancy"):
-            le = _parse_float(path, line, "life_expectancy", row["life_expectancy"])
-            has_le = True
-        if (lo, date) in cells:
-            _fail(path, f"duplicate cell for cohort {lo}, date {date}", line)
-        cells[(lo, date)] = (pd5, le)
-        starts.add(lo)
-        dates.add(date)
-    if not cells:
-        _fail(path, "no data rows")
-    grid = _grid_from_cells(path, starts, dates)
-    dp = np.zeros((grid.n_cohorts, grid.n_dates))
-    le_arr = np.zeros((grid.n_cohorts, grid.n_dates)) if has_le else None
-    for i, start in enumerate(grid.cohort_starts):
-        for j, date in enumerate(grid.dates):
-            if (start, date) not in cells:
-                _fail(path, f"missing cell for cohort {grid.cohort_label(i)} at date {date}")
-            pd5, le = cells[(start, date)]
-            dp[i, j] = pd5
-            if le_arr is not None:
-                le_arr[i, j] = le if le is not None else np.nan
-    return MortalityTable(grid=grid, death_prob=dp, life_expectancy=le_arr)
+    """Parse a mortality table; an optional ``life_expectancy`` column is
+    checked to be numeric and otherwise ignored."""
+    grid, tables = _read_cohort_table(
+        path, "pd_5yr",
+        lambda v: None if 0.0 <= v <= 1.0 else f"death probability {v} outside [0, 1]",
+        unused=("life_expectancy",),
+    )
+    return MortalityTable(grid=grid, death_prob=tables[None])
 
 
 def mortality_csv_text(table: MortalityTable) -> str:
-    g = table.grid
-    lines = ["date,cohort_lo,cohort_hi,pd_5yr"]
-    for i in range(g.n_cohorts):
-        lo, hi = g.cohort_bounds(i)
-        for j, date in enumerate(g.dates):
-            lines.append(f"{date},{lo},{hi},{fmt_value(table.death_prob[i, j])}")
+    lines = ["date,cohort_lo,cohort_hi,pd_5yr", *_cohort_lines(table.grid, table.death_prob)]
     return "\n".join(lines) + "\n"
 
 
@@ -297,27 +299,32 @@ def write_mortality_csv(table: MortalityTable, out) -> None:
 # ------------------------------------------------------------ relative risks
 
 def read_rr_mortality_csv(path) -> list[StudyRecord]:
+    parsers = {
+        "cohort_lo": _parse_int, "cohort_hi": _parse_int, "rr_lower": _parse_float,
+        "rr_upper": _parse_float, "diluted": _parse_flag, "source_tag": _text,
+    }
     records = []
-    for line, row in _read_rows(
-        path, ("cohort_lo", "cohort_hi", "rr_lower", "rr_upper", "diluted", "source_tag")
-    ):
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        rr_lo = _parse_float(path, line, "rr_lower", row["rr_lower"])
-        rr_hi = _parse_float(path, line, "rr_upper", row["rr_upper"])
-        diluted = _parse_flag(path, line, "diluted", row["diluted"])
+    for line, values in _read_records(path, parsers):
         try:
-            records.append(
-                StudyRecord(
-                    age_lo=lo, age_hi=hi, rr_lower=rr_lo, rr_upper=rr_hi,
-                    diluted=diluted, source=row["source_tag"],
-                )
-            )
+            records.append(StudyRecord(*values))
         except ValidationError as exc:
             _fail(path, str(exc), line)
     if not records:
         _fail(path, "no data rows")
     return records
+
+
+def _read_service_rows(path, columns, parse) -> dict[str, float]:
+    """One value per service row, from ``parse(line, row)``, keyed by service code."""
+    values: dict[str, float] = {}
+    for line, row in _read_rows(path, ("service", *columns)):
+        service = row["service"]
+        if service not in SERVICES:
+            _fail(path, f"unknown service {service!r}; valid: {', '.join(SERVICES)}", line)
+        if service in values:
+            _fail(path, f"duplicate service {service}", line)
+        values[service] = parse(line, row)
+    return values
 
 
 def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
@@ -326,113 +333,57 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
     Pharmaceutical, rehabilitation and minor rows may be omitted and
     default to 1.00.
     """
-    values: dict[str, float] = {}
-    for line, row in _read_rows(path, ("service", "rr", "diluted")):
-        service = row["service"]
-        if service not in SERVICES:
-            _fail(path, f"unknown service {service!r}; valid: {', '.join(SERVICES)}", line)
-        if service in values:
-            _fail(path, f"duplicate service {service}", line)
+
+    def parse(line, row) -> float:
         rr = _parse_float(path, line, "rr", row["rr"])
         if rr < 0.0:
             _fail(path, f"negative relative risk {rr}", line)
-        diluted = _parse_flag(path, line, "diluted", row["diluted"])
-        if not diluted:
-            rr = dilute_relative_risk(RelativeRisk(rr), labor).value
-        values[service] = rr
+        if _parse_flag(path, line, "diluted", row["diluted"]):
+            return rr
+        return dilute_relative_risk(RelativeRisk(rr), labor).value
+
+    values = _read_service_rows(path, ("rr", "diluted"), parse)
     for required in ("H", "S", "GP"):
         if required not in values:
             _fail(path, f"missing service row {required!r}")
-    return UtilizationRRSet(
-        hospital=values["H"],
-        specialist=values["S"],
-        general_practice=values["GP"],
-        pharmaceutical=values.get("P", 1.0),
-        rehabilitation=values.get("R", 1.0),
-        minor=values.get("m", 1.0),
-    )
+    return UtilizationRRSet(*(values.get(code, 1.0) for code in ("H", "S", "GP", "P", "R", "m")))
 
 
 # ------------------------------------------------------------ cost machinery
 
-def _read_cohort_profiles(path, grid, id_column, what, value_column, rejects, make):
-    """Profiles of one value per cohort, keyed by ``id_column``.
-
-    ``rejects(value)`` returns why a value is invalid, or None; each
-    profile is built as ``make(id, grid, values)``.
-    """
-    per: dict[str, dict[int, float]] = {}
-    for line, row in _read_rows(path, (id_column, "cohort_lo", "cohort_hi", value_column)):
-        key = row[id_column]
-        if not key:
-            _fail(path, f"empty {what} id", line)
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        _check_cohort_row(path, line, lo, hi)
-        value = _parse_float(path, line, value_column, row[value_column])
-        problem = rejects(value)
-        if problem:
-            _fail(path, problem, line)
-        entries = per.setdefault(key, {})
-        if lo in entries:
-            _fail(path, f"duplicate cohort {lo} for {what} {key}", line)
-        entries[lo] = value
-    if not per:
-        _fail(path, "no data rows")
-    for key, entries in per.items():
-        for i, start in enumerate(grid.cohort_starts):
-            if start not in entries:
-                _fail(path, f"{what} {key}: missing cohort {grid.cohort_label(i)}")
-    return {
-        key: make(key, grid, np.array([entries[start] for start in grid.cohort_starts]))
-        for key, entries in per.items()
-    }
-
-
 def read_cost_profiles_csv(path, grid: CohortGrid) -> dict[str, CostProfile]:
-    return _read_cohort_profiles(
-        path, grid, "profile_id", "profile", "eur_per_capita",
-        lambda v: f"negative per-capita cost {v}" if v < 0.0 else None, CostProfile,
+    _, values = _read_cohort_table(
+        path, "eur_per_capita", lambda v: f"negative per-capita cost {v}" if v < 0.0 else None,
+        key="profile_id", grid=grid,
     )
+    return {key: CostProfile(key, grid, v) for key, v in values.items()}
 
 
 def read_ds_ratios_csv(path, grid: CohortGrid) -> dict[str, DSRatioProfile]:
-    return _read_cohort_profiles(
-        path, grid, "scenario", "scenario", "ratio",
-        lambda v: f"D/S ratio must be > 0, got {v}" if v <= 0.0 else None, DSRatioProfile,
+    _, values = _read_cohort_table(
+        path, "ratio", lambda v: f"D/S ratio must be > 0, got {v}" if v <= 0.0 else None,
+        key="scenario", grid=grid,
     )
+    return {key: DSRatioProfile(key, grid, v) for key, v in values.items()}
 
 
 def read_shares_csv(path) -> ExpenditureShares:
-    values: dict[str, float] = {}
-    for line, row in _read_rows(path, ("service", "fraction")):
-        service = row["service"]
-        if service not in SERVICES:
-            _fail(path, f"unknown service {service!r}; valid: {', '.join(SERVICES)}", line)
-        if service in values:
-            _fail(path, f"duplicate service {service}", line)
-        values[service] = _parse_float(path, line, "fraction", row["fraction"])
+    values = _read_service_rows(
+        path, ("fraction",),
+        lambda line, row: _parse_float(path, line, "fraction", row["fraction"]),
+    )
     missing = [s for s in SERVICES if s not in values]
     if missing:
         _fail(path, f"missing service row(s): {', '.join(missing)}")
     try:
-        return ExpenditureShares(
-            hospital=values["H"],
-            pharmaceutical=values["P"],
-            specialist=values["S"],
-            general_practice=values["GP"],
-            rehabilitation=values["R"],
-            minor=values["m"],
-        )
+        return ExpenditureShares(*(values[code] for code in SERVICES))
     except ValidationError as exc:
         _fail(path, str(exc))
 
 
 def read_gdp_csv(path) -> dict[int, float]:
     gdp: dict[int, float] = {}
-    for line, row in _read_rows(path, ("date", "eur_millions")):
-        date = _parse_int(path, line, "date", row["date"])
-        v = _parse_float(path, line, "eur_millions", row["eur_millions"])
+    for line, (date, v) in _read_records(path, {"date": _parse_int, "eur_millions": _parse_float}):
         if v <= 0.0:
             _fail(path, f"GDP must be positive, got {v}", line)
         if date in gdp:
@@ -472,18 +423,9 @@ def write_impact_csv(rows: Iterable[GridRow], out) -> None:
 
 def read_impact_csv(path) -> list[dict[str, str | float]]:
     """Parse an impact/sensitivity result table into typed row dicts."""
-    numeric = ("rf", "crimi_eur_m", "criui_eur_m", "cri_eur_m", "cri_gdp_pct")
-    rows: list[dict[str, str | float]] = []
-    for line, row in _read_rows(path, IMPACT_COLUMNS):
-        parsed: dict[str, str | float] = {
-            "model": row["model"],
-            "pop_scenario": row["pop_scenario"],
-            "rr_selector": row["rr_selector"],
-        }
-        for column in numeric:
-            parsed[column] = _parse_float(path, line, column, row[column])
-        rows.append(parsed)
-    return rows
+    parsers = dict.fromkeys(IMPACT_COLUMNS, _parse_float)
+    parsers.update(model=_text, pop_scenario=_text, rr_selector=_text)
+    return [dict(zip(IMPACT_COLUMNS, values)) for _, values in _read_records(path, parsers)]
 
 
 # -------------------------------------------------------- expenditure series
@@ -501,17 +443,8 @@ def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
 
 
 def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
-    rows = []
-    for line, row in _read_rows(path, ("model", "scenario", "date", "eur_millions")):
-        rows.append(
-            (
-                row["model"],
-                row["scenario"],
-                _parse_int(path, line, "date", row["date"]),
-                _parse_float(path, line, "eur_millions", row["eur_millions"]),
-            )
-        )
-    return rows
+    parsers = {"model": _text, "scenario": _text, "date": _parse_int, "eur_millions": _parse_float}
+    return [tuple(values) for _, values in _read_records(path, parsers)]
 
 
 # ------------------------------------------------------------- plot series
@@ -530,9 +463,4 @@ def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
-    rows = []
-    for line, row in _read_rows(path, ("x", "y")):
-        rows.append(
-            (_parse_float(path, line, "x", row["x"]), _parse_float(path, line, "y", row["y"]))
-        )
-    return rows
+    return [tuple(xy) for _, xy in _read_records(path, {"x": _parse_float, "y": _parse_float})]

@@ -43,33 +43,21 @@ class RunManifest:
 
     # -------------------------------------------------------------- accessors
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
     def require(self, key: str) -> str:
         if key not in self.values:
             raise ValidationError(f"{self.source}: manifest is missing key {key!r}")
         return self.values[key]
 
-    def get_float(self, key: str, default: float) -> float:
+    def number(self, key: str, default, kind: type = float):
+        """The value of ``key`` parsed as ``kind`` (float or int), or ``default``."""
         raw = self.values.get(key)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            raise ValidationError(f"{self.source}: key {key!r}: {raw!r} is not a number") from None
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"{self.source}: key {key!r}: {raw!r} is not an integer"
-            ) from None
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"{self.source}: key {key!r}: {raw!r} is not {what}") from None
 
     def get_list(self, key: str) -> list[str]:
         raw = self.require(key)
@@ -78,25 +66,18 @@ class RunManifest:
             raise ValidationError(f"{self.source}: key {key!r} lists no items")
         return items
 
-    def path(self, key: str) -> Path:
-        p = Path(self.require(key))
-        if not p.is_absolute():
-            p = self.source.parent / p
-        return p
-
     def paths(self, key: str) -> list[Path]:
-        out = []
-        for item in self.get_list(key):
-            p = Path(item)
-            if not p.is_absolute():
-                p = self.source.parent / p
-            out.append(p)
-        return out
+        """The files listed under ``key``; relative ones resolve against the manifest."""
+        return [self.source.parent / item for item in self.get_list(key)]
 
     # ---------------------------------------------------------- scenario glue
 
-    def labor(self) -> LaborMarketState:
-        return LaborMarketState(self.get_float("scenario.unemployment_rate", 0.10))
+    def risk_settings(self) -> tuple[LaborMarketState, str]:
+        """Unemployment rate and envelope policy: applied when risks are loaded."""
+        return (
+            LaborMarketState(self.number("scenario.unemployment_rate", 0.10)),
+            self.values.get("scenario.envelope_policy", "population_level"),
+        )
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(
@@ -104,28 +85,21 @@ class RunManifest:
             model=self.require("scenario.model"),
             cost_profile=self.require("scenario.cost_profile"),
             ds_scenario=self.require("scenario.ds_scenario"),
-            rr_selection=parse_selector(self.get("scenario.rr_selection", "upper")),
-            rf_selection=parse_selector(self.get("scenario.rf_selection", "upper")),
-            shock_date=self.get_int("scenario.shock_date", 2015),
-            labor=self.labor(),
-            envelope_policy=self.get("scenario.envelope_policy", "population_level"),
-        )
-
-    def model_parameters(self, gdp: dict[int, float] | None) -> ModelParameters:
-        return ModelParameters(
-            utilization=self.get_float("params.utilization", 1.0),
-            health_improvement_rate=self.get_float("params.health_improvement_rate", 0.25),
-            gdp=gdp,
+            rr_selection=parse_selector(self.values.get("scenario.rr_selection", "upper")),
+            rf_selection=parse_selector(self.values.get("scenario.rf_selection", "upper")),
+            shock_date=self.number("scenario.shock_date", 2015, int),
         )
 
     def load_inputs(self) -> ScenarioInputs:
         """Parse every data input and assemble the scenario bundle.
 
-        Fail-fast: any missing file or schema violation raises before the
-        caller computes or writes anything.
+        Undiluted risks are diluted with the manifest's unemployment rate
+        and the mortality envelope is built with its envelope policy
+        (:meth:`risk_settings`). Fail-fast: any missing file or schema
+        violation raises before the caller computes or writes anything.
         """
-        for key in IMPACT_DATA_KEYS:
-            self.require(key)
+        files = {key: self.source.parent / self.require(key) for key in IMPACT_DATA_KEYS}
+        labor, policy = self.risk_settings()
 
         populations = {}
         grid = None
@@ -139,24 +113,24 @@ class RunManifest:
                 elif path_obj.grid != grid:
                     raise ValidationError(f"{p}: population grids differ across files")
 
-        mortality = io.read_mortality_csv(self.path("data.mortality"))
+        mortality = io.read_mortality_csv(files["data.mortality"])
         if mortality.grid != grid:
             raise ValidationError("mortality table grid differs from the population grid")
 
-        labor = self.labor()
-        records = io.read_rr_mortality_csv(self.path("data.rr_mortality"))
-        rr_mortality = build_rr_envelope(
-            records, labor, grid, policy=self.get("scenario.envelope_policy", "population_level")
-        )
+        records = io.read_rr_mortality_csv(files["data.rr_mortality"])
+        rr_mortality = build_rr_envelope(records, labor, grid, policy=policy)
         rr_utilization = {
-            "lower": io.read_rr_utilization_csv(self.path("data.rr_utilization_lower"), labor),
-            "upper": io.read_rr_utilization_csv(self.path("data.rr_utilization_upper"), labor),
+            bound: io.read_rr_utilization_csv(files[f"data.rr_utilization_{bound}"], labor)
+            for bound in ("lower", "upper")
         }
-        cost_profiles = io.read_cost_profiles_csv(self.path("data.cost_profiles"), grid)
-        ds_profiles = io.read_ds_ratios_csv(self.path("data.ds_ratios"), grid)
-        shares = io.read_shares_csv(self.path("data.shares"))
-        gdp = io.read_gdp_csv(self.path("data.gdp"))
-
+        cost_profiles = io.read_cost_profiles_csv(files["data.cost_profiles"], grid)
+        ds_profiles = io.read_ds_ratios_csv(files["data.ds_ratios"], grid)
+        shares = io.read_shares_csv(files["data.shares"])
+        params = ModelParameters(
+            utilization=self.number("params.utilization", 1.0),
+            health_improvement_rate=self.number("params.health_improvement_rate", 0.25),
+            gdp=io.read_gdp_csv(files["data.gdp"]),
+        )
         return ScenarioInputs(
             grid=grid,
             populations=populations,
@@ -166,14 +140,12 @@ class RunManifest:
             cost_profiles=cost_profiles,
             ds_profiles=ds_profiles,
             shares=shares,
-            params=self.model_parameters(gdp),
+            params=params,
         )
 
 
 def parse_manifest(path) -> RunManifest:
     source = Path(path)
-    if not source.exists():
-        raise ValidationError(f"{source}: manifest file does not exist")
     with io.open_text(source) as fh:
         text = fh.read()
     values: dict[str, str] = {}

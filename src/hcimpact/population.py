@@ -42,14 +42,11 @@ class MortalityTable:
     """5-year death probabilities per cohort per projection date.
 
     ``death_prob[a, i]`` is the probability that a member of cohort ``a``
-    at date ``dates[i]`` dies before ``dates[i] + 5``. The optional
-    ``life_expectancy`` companion is informational only and never enters
-    any computation.
+    at date ``dates[i]`` dies before ``dates[i] + 5``.
     """
 
     grid: CohortGrid
     death_prob: np.ndarray
-    life_expectancy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         dp = _readonly(self.death_prob)
@@ -61,11 +58,6 @@ class MortalityTable:
             )
         if np.any(~np.isfinite(dp)) or np.any(dp < 0.0) or np.any(dp > 1.0):
             raise ValidationError("death probabilities must lie in [0, 1]")
-        if self.life_expectancy is not None:
-            le = _readonly(self.life_expectancy)
-            if le.shape != expected:
-                raise ValidationError("life expectancy column does not cover the grid")
-            object.__setattr__(self, "life_expectancy", le)
 
     def at(self, date: int) -> np.ndarray:
         """Death-probability column for one projection date."""

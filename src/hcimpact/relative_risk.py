@@ -15,7 +15,7 @@ named policy decides which source wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "LaborMarketState",
     "RelativeRisk",
     "MortalityRRTable",
+    "ServiceValues",
     "UtilizationRRSet",
     "StudyRecord",
     "dilute_relative_risk",
@@ -37,17 +38,9 @@ __all__ = [
     "ENVELOPE_POLICIES",
 ]
 
-#: Service codes of the expenditure typology, in canonical order, and the
-#: field each one is stored under.
+#: Service codes of the expenditure typology, in canonical order; the
+#: fields of :class:`ServiceValues` follow it.
 SERVICES = ("H", "P", "S", "GP", "R", "m")
-SERVICE_FIELDS = {
-    "H": "hospital",
-    "P": "pharmaceutical",
-    "S": "specialist",
-    "GP": "general_practice",
-    "R": "rehabilitation",
-    "m": "minor",
-}
 
 ENVELOPE_POLICIES = ("population_level", "hull")
 
@@ -133,31 +126,58 @@ class MortalityRRTable:
 
 
 @dataclass(frozen=True)
-class UtilizationRRSet:
+class ServiceValues:
+    """One value per service type; field ``i`` holds service ``SERVICES[i]``.
+
+    Subclasses name what the values are (``_label``) and the closed range
+    each must lie in (``_range``, described by ``_range_text``); every
+    value is checked on construction.
+    """
+
+    hospital: float
+    pharmaceutical: float
+    specialist: float
+    general_practice: float
+    rehabilitation: float
+    minor: float
+
+    _label = "value"
+    _range, _range_text = (0.0, np.inf), "finite and >= 0"
+
+    def __post_init__(self) -> None:
+        lo, hi = self._range
+        for code in SERVICES:
+            v = self.for_service(code)
+            if not np.isfinite(v) or not (lo <= v <= hi):
+                raise ValidationError(f"{self._label} for {code} must be {self._range_text}")
+
+    def for_service(self, code: str) -> float:
+        if code not in SERVICES:
+            raise ValidationError(f"unknown service code {code!r}")
+        return float(getattr(self, fields(self)[SERVICES.index(code)].name))
+
+
+class UtilizationRRSet(ServiceValues):
     """Diluted utilization relative risks per service type.
 
     Pharmaceutical, rehabilitation and minor services default to 1.00
     (no epidemiological signal available for them).
     """
 
-    hospital: float
-    specialist: float
-    general_practice: float
-    pharmaceutical: float = 1.0
-    rehabilitation: float = 1.0
-    minor: float = 1.0
+    _label = "utilization RR"
 
-    def __post_init__(self) -> None:
-        for code in SERVICES:
-            v = self.for_service(code)
-            if not np.isfinite(v) or v < 0.0:
-                raise ValidationError(f"utilization RR for {code} must be finite and >= 0")
-
-    def for_service(self, code: str) -> float:
-        try:
-            return float(getattr(self, SERVICE_FIELDS[code]))
-        except KeyError:
-            raise ValidationError(f"unknown service code {code!r}") from None
+    def __init__(
+        self,
+        hospital: float,
+        specialist: float,
+        general_practice: float,
+        pharmaceutical: float = 1.0,
+        rehabilitation: float = 1.0,
+        minor: float = 1.0,
+    ) -> None:
+        super().__init__(
+            hospital, pharmaceutical, specialist, general_practice, rehabilitation, minor
+        )
 
 
 def shock_death_probs(table: MortalityTable, rr: np.ndarray, window: int) -> np.ndarray:
@@ -184,9 +204,7 @@ def apply_mortality_shock(
     column = shock_death_probs(table, rr, window)
     shocked = table.death_prob.copy()
     shocked[:, table.grid.date_index(window)] = column
-    return MortalityTable(
-        grid=table.grid, death_prob=shocked, life_expectancy=table.life_expectancy
-    )
+    return MortalityTable(grid=table.grid, death_prob=shocked)
 
 
 @dataclass(frozen=True)

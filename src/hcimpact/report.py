@@ -8,7 +8,6 @@ header, so anything the engine wrote can be rendered back.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 from . import io
 from .errors import ValidationError
@@ -62,9 +61,6 @@ def render_table(headers: list[str], rows: list[list]) -> str:
 
 def sniff_schema(path) -> str:
     """Identify a result file by its header line."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"{path}: file does not exist")
     with io.open_text(path) as fh:
         header_row = next(csv.reader(fh), None)
     if header_row is None:
@@ -114,12 +110,10 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
 
     if schema == "population":
         paths = io.read_population_csv(path)
-        any_path = next(iter(paths.values()))
-        grid = any_path.grid
+        grid = next(iter(paths.values())).grid
         headers = ["scenario", "cohort"] + [str(d) for d in grid.dates]
         rows = []
-        for name in paths:
-            p = paths[name]
+        for name, p in paths.items():
             for i in range(grid.n_cohorts):
                 rows.append([name, grid.cohort_label(i)] + list(p.counts[i, :]))
         table = render_table(headers, rows)

@@ -12,7 +12,6 @@ from hcimpact import (
     CostProfile,
     DSRatioProfile,
     ExpenditureShares,
-    LaborMarketState,
     ModelParameters,
     MortalityRRTable,
     MortalityTable,
@@ -96,7 +95,6 @@ def random_inputs(
         rr_selection="upper",
         rf_selection="upper",
         shock_date=shock_date,
-        labor=LaborMarketState(0.10),
     )
     return inputs, config
 

@@ -1,7 +1,9 @@
+import errno
 import subprocess
 import sys
 from pathlib import Path
 
+from hcimpact import cli
 from hcimpact.cli import main
 
 from conftest import DATA_DIR
@@ -325,3 +327,92 @@ class TestNonUtf8Input:
         m.write_text(f"report.files = {bad}\n")
         assert run_cli("report", "--manifest", m, "--out", tmp_path / "rep") == 2
         assert "bad.csv:2: not valid UTF-8" in capsys.readouterr().err
+
+
+class TestOutputNames:
+    def _project(self, tmp_path, scenarios: str, rates: str):
+        manifest = write_mini_bundle(tmp_path / "b")
+        manifest.write_text(
+            manifest.read_text()
+            .replace("project.scenarios = SIM-A,SIM-B", f"project.scenarios = {scenarios}")
+            .replace("project.birth_rates = 0.017,0.013", f"project.birth_rates = {rates}")
+        )
+        out = tmp_path / "out"
+        return run_cli("project", "--manifest", manifest, "--out", out), out
+
+    def test_scenario_name_with_separator_rejected(self, tmp_path, capsys):
+        code, out = self._project(tmp_path, "ok,sub/x", "0.017,0.013")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "project.scenarios" in err and "population_sub/x.csv" in err
+        assert not out.exists()  # not even population_ok.csv
+
+    def test_duplicate_scenario_name_rejected(self, tmp_path, capsys):
+        code, out = self._project(tmp_path, "A,A", "0.017,0.013")
+        assert code == 2
+        assert "project.scenarios: output file population_A.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_sources_with_one_name_rejected(self, tmp_path, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        for sub in ("a", "b2"):
+            assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / sub) == 0
+        sources = [tmp_path / sub / "impact.csv" for sub in ("a", "b2")]
+        m = tmp_path / "report.txt"
+        m.write_text(f"report.files = {sources[0]},{sources[1]}\n")
+        rep = tmp_path / "rep"
+        capsys.readouterr()
+        assert run_cli("report", "--manifest", m, "--out", rep) == 2
+        err = capsys.readouterr().err
+        assert f"{sources[0]} and {sources[1]}: output file impact_table.txt" in err
+        assert not rep.exists()
+
+
+class _FullDisk:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicOutput:
+    def _fail_second_write(self, monkeypatch):
+        opened = []
+
+        def open_failing_second(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(path)
+            return _FullDisk(fh) if len(opened) == 2 else fh
+
+        monkeypatch.setattr(cli, "open", open_failing_second, raising=False)
+        return opened
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        out = tmp_path / "out"
+        opened = self._fail_second_write(monkeypatch)
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert len(opened) == 2
+        assert sorted(out.iterdir()) == []  # neither result nor temporary files
+        assert "No space left on device" in capsys.readouterr().err
+
+    def test_failed_write_keeps_earlier_results(self, tmp_path, monkeypatch):
+        manifest = write_mini_bundle(tmp_path / "b")
+        out = tmp_path / "out"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        self._fail_second_write(monkeypatch)
+        text = manifest.read_text()
+        manifest.write_text(text.replace("scenario.model = DC", "scenario.model = PD"))
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before

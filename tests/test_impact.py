@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hcimpact import (
     MODELS,
     CostProfile,
     DSRatioProfile,
-    LaborMarketState,
     ModelParameters,
     MortalityRRTable,
     MortalityTable,
@@ -26,6 +25,8 @@ from hcimpact import (
     rescaling_factor,
     sensitivity_grid,
 )
+from hcimpact.io import fmt_value
+from hcimpact.manifest import RunManifest, parse_manifest
 
 from conftest import BUNDLED_SHARES, grid_of, random_inputs
 
@@ -52,7 +53,7 @@ def _unit_bundle(rng, n=4, d=3):
     )
     config = ScenarioConfig(
         population="S0", model="DC", cost_profile="C0", ds_scenario="D0",
-        shock_date=2015, labor=LaborMarketState(0.1),
+        shock_date=2015,
     )
     return inputs, config
 
@@ -431,3 +432,38 @@ class TestBatchedGridValidation:
         with pytest.raises(ValidationError) as batched:
             sensitivity_grid(config, inputs, **self.AXES)
         assert str(batched.value) == str(scalar.value)
+
+
+class TestNoInertSetting:
+    # another valid value for each ScenarioConfig field on the bundled data
+    OTHER_VALUE = {
+        "population": "PopLV",
+        "model": "PD",
+        "cost_profile": "ARC2",
+        "ds_scenario": "high",
+        "rr_selection": "lower",
+        "rf_selection": "lower",
+        "shock_date": 2020,
+    }
+
+    def test_every_config_field_changes_cri(self, data_dir):
+        manifest = parse_manifest(data_dir / "manifest.txt")
+        inputs, base = manifest.load_inputs(), manifest.scenario_config()
+        reference = cri(base, inputs).cri
+        for field in fields(ScenarioConfig):
+            assert field.name in self.OTHER_VALUE, f"{field.name}: give it a value to test"
+            changed = replace(base, **{field.name: self.OTHER_VALUE[field.name]})
+            assert cri(changed, inputs).cri != reference, f"{field.name} has no effect"
+
+    @pytest.mark.parametrize("key, value, component, before, after", [
+        ("scenario.unemployment_rate", "0.5", "criui", "8960.96", "44804.8"),
+        ("scenario.envelope_policy", "hull", "crimi", "191.508", "194.126"),
+    ])
+    def test_load_time_settings_change_impact(
+        self, data_dir, key, value, component, before, after
+    ):
+        bundled = parse_manifest(data_dir / "manifest.txt")
+        changed = RunManifest(bundled.source, {**bundled.values, key: value})
+        for manifest, expected in ((bundled, before), (changed, after)):
+            result = cri(manifest.scenario_config(), manifest.load_inputs())
+            assert fmt_value(getattr(result, component)) == expected

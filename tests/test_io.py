@@ -72,14 +72,14 @@ class TestMortalityRoundTrip:
             io.read_mortality_csv(f)
 
     def test_optional_life_expectancy_column(self, tmp_path):
+        # the column is accepted and checked, but nothing computes with it
         f = tmp_path / "mort.csv"
-        f.write_text(
-            "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy\n"
-            "2010,0,4,0.01,80.1\n2010,5,9,0.02,75.3\n"
-        )
-        table = io.read_mortality_csv(f)
-        assert table.life_expectancy is not None
-        assert table.life_expectancy[0, 0] == 80.1
+        header = "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy\n"
+        f.write_text(header + "2010,0,4,0.01,80.1\n2010,5,9,0.02,\n")
+        assert io.read_mortality_csv(f).death_prob[:, 0].tolist() == [0.01, 0.02]
+        f.write_text(header + "2010,0,4,0.01,80.1\n2010,5,9,0.02,old\n")
+        with pytest.raises(ValidationError, match=r"mort\.csv:3: column 'life_expectancy'"):
+            io.read_mortality_csv(f)
 
 
 class TestRiskFiles:
