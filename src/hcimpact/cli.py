@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields
@@ -70,7 +71,7 @@ def _add_output(files, sources, name: str, content: str, source: str) -> None:
 
 
 def _build_project(manifest: RunManifest, fmt: str):
-    inputs = manifest.load_inputs()
+    populations, mortality = manifest.load_populations()
     names = manifest.get_list("project.scenarios")
     rates = manifest.get_list("project.birth_rates")
     if len(names) != len(rates):
@@ -79,17 +80,17 @@ def _build_project(manifest: RunManifest, fmt: str):
             "must list the same number of items"
         )
     initial_id = manifest.require("project.initial")
-    if initial_id not in inputs.populations:
+    if initial_id not in populations:
         raise ValidationError(
             f"unknown initial population scenario {initial_id!r}; valid ids: "
-            f"{', '.join(sorted(inputs.populations))}"
+            f"{', '.join(sorted(populations))}"
         )
-    horizon = manifest.number("project.horizon", inputs.grid.dates[-1], int)
+    horizon = manifest.number("project.horizon", mortality.grid.dates[-1], int)
 
     files: dict[str, str] = {}
     sources: dict[str, str] = {}
     stdout = []
-    initial = inputs.populations[initial_id].counts[:, 0]
+    initial = populations[initial_id].counts[:, 0]
     for name, rate_text in zip(names, rates):
         try:
             rate = float(rate_text)
@@ -99,7 +100,7 @@ def _build_project(manifest: RunManifest, fmt: str):
             ) from None
         projected = project_population(
             initial,
-            inputs.mortality,
+            mortality,
             BirthRateScenario(name=name, annual_rate=rate),
             horizon=horizon,
             scenario=name,
@@ -155,7 +156,7 @@ def _build_impact(manifest: RunManifest, fmt: str):
     files = _impact_table("impact", [row], fmt)
     if fmt == "table":
         files["expenditure.txt"] = render_table(
-            ["model", "scenario", "date", "eur_millions"],
+            list(io.EXPENDITURE_COLUMNS),
             [[base_path.model, base_path.scenario, d, v]
              for d, v in zip(base_path.dates, base_path.values)],
         )
@@ -210,7 +211,8 @@ def _build_report(manifest: RunManifest, fmt: str):
 def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     """Write every file or none: each goes to a temporary file in ``out_dir``,
     and only once all writes succeeded are they renamed onto their targets.
-    On a failed write the temporary files are removed and no target changes.
+    On a failed write, or a directory where a target goes, the temporary
+    files are removed and no target changes.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[tuple[Path, Path]] = []
@@ -220,6 +222,9 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
             with open(temp, "x") as fh:
                 written.append((temp, out_dir / name))
                 fh.write(content)
+        for _, target in written:  # a rename cannot replace a directory
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for temp, target in written:
             os.replace(temp, target)
     finally:

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import CohortGrid
+from .grid import CohortGrid, frozen_array
 from .population import MortalityTable, PopulationPath, annualized
 from .relative_risk import SERVICES, ServiceValues, UtilizationRRSet
 
@@ -57,16 +57,6 @@ _TO_EUR_MILLIONS = 1e-3
 PUBLISHED_RF_RANGE = (1.045, 1.095)
 
 
-def _cohort_vector(name: str, values, grid: CohortGrid, minimum: float = 0.0) -> np.ndarray:
-    v = np.array(values, dtype=float)
-    if v.shape != (grid.n_cohorts,):
-        raise ValidationError(f"{name} does not cover every cohort of the grid")
-    if np.any(~np.isfinite(v)) or np.any(v < minimum):
-        raise ValidationError(f"{name} entries must be finite and >= {minimum}")
-    v.setflags(write=False)
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class CostProfile:
     """Age-related per-capita public healthcare cost, EUR/person/year."""
@@ -76,9 +66,8 @@ class CostProfile:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _cohort_vector("cost profile", self.values, self.grid)
-        )
+        v = frozen_array(self.values, (self.grid.n_cohorts,), "cost profile")
+        object.__setattr__(self, "values", v)
 
     def scaled(self, factor: float) -> "CostProfile":
         """Uniformly rescaled copy (utilization-impact route)."""
@@ -96,7 +85,7 @@ class DSRatioProfile:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = _cohort_vector("D/S ratio profile", self.values, self.grid)
+        v = frozen_array(self.values, (self.grid.n_cohorts,), "D/S ratios")
         if np.any(v <= 0.0):
             raise ValidationError("D/S ratios must be > 0")
         object.__setattr__(self, "values", v)
@@ -125,12 +114,7 @@ class ExpenditurePath:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.shape != (len(self.dates),):
-            raise ValidationError("expenditure path does not cover its dates")
-        if np.any(~np.isfinite(v)) or np.any(v < 0.0):
-            raise ValidationError("expenditure must be finite and >= 0 at every date")
-        v.setflags(write=False)
+        v = frozen_array(self.values, (len(self.dates),), "expenditure")
         object.__setattr__(self, "values", v)
 
     def value_at(self, date: int) -> float:
@@ -170,7 +154,7 @@ class ModelParameters:
         u = np.asarray(self.utilization, dtype=float)
         if u.ndim == 0:
             u = np.full(grid.n_cohorts, float(u))
-        return _cohort_vector("utilization scaling", u, grid)
+        return frozen_array(u, (grid.n_cohorts,), "utilization scaling")
 
 
 def require_same_grid(*objs) -> CohortGrid:

@@ -3,11 +3,15 @@
 Every table in the engine (populations, mortality, costs, relative risks)
 is indexed by the same grid: contiguous 5-year age cohorts starting at 0
 with an open-ended last cohort, and projection dates at 5-year spacing.
+Every such table stores its values through :func:`frozen_array`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -77,3 +81,21 @@ class CohortGrid:
     def cohort_midpoints(self) -> tuple[float, ...]:
         """Cohort midpoint ages, used for age interpolation of cost profiles."""
         return tuple(lo + COHORT_WIDTH / 2.0 for lo in self.cohort_starts)
+
+
+def frozen_array(
+    values, shape: tuple[int, ...], what: str, lo: float = 0.0, hi: float = math.inf
+) -> np.ndarray:
+    """A write-protected float copy of ``values``: the one check of every table.
+
+    Raises ``ValidationError`` naming ``what`` unless the copy has ``shape``
+    and every entry is finite and in ``[lo, hi]``.
+    """
+    a = np.array(values, dtype=float)
+    if a.shape != shape:
+        raise ValidationError(f"{what}: shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a) & (a >= lo) & (a <= hi)):
+        bound = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+        raise ValidationError(f"{what} must be finite and {bound}")
+    a.setflags(write=False)
+    return a

@@ -56,8 +56,12 @@ __all__ = [
     "fmt_value",
     "selector_text",
     "IMPACT_COLUMNS",
+    "EXPENDITURE_COLUMNS",
+    "POPULATION_COLUMNS",
+    "SERIES_COLUMNS",
 ]
 
+# The header of each result file, in column order.
 IMPACT_COLUMNS = (
     "model",
     "pop_scenario",
@@ -68,6 +72,9 @@ IMPACT_COLUMNS = (
     "cri_eur_m",
     "cri_gdp_pct",
 )
+EXPENDITURE_COLUMNS = ("model", "scenario", "date", "eur_millions")
+POPULATION_COLUMNS = ("scenario", "date", "cohort_lo", "cohort_hi", "count_thousands")
+SERIES_COLUMNS = ("x", "y")
 
 
 def fmt_value(x: float) -> str:
@@ -264,7 +271,7 @@ def _cohort_lines(grid: CohortGrid, values: np.ndarray, prefix: str = "") -> lis
 
 
 def population_csv_text(paths: Iterable[PopulationPath]) -> str:
-    lines = ["scenario,date,cohort_lo,cohort_hi,count_thousands"]
+    lines = [",".join(POPULATION_COLUMNS)]
     for p in paths:
         lines += _cohort_lines(p.grid, p.counts, f"{p.scenario},")
     return "\n".join(lines) + "\n"
@@ -431,7 +438,7 @@ def read_impact_csv(path) -> list[dict[str, str | float]]:
 # -------------------------------------------------------- expenditure series
 
 def expenditure_csv_text(paths: Iterable[ExpenditurePath]) -> str:
-    lines = ["model,scenario,date,eur_millions"]
+    lines = [",".join(EXPENDITURE_COLUMNS)]
     for p in paths:
         for date, v in zip(p.dates, p.values):
             lines.append(f"{p.model},{p.scenario},{date},{fmt_value(v)}")
@@ -443,7 +450,7 @@ def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
 
 
 def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
-    parsers = {"model": _text, "scenario": _text, "date": _parse_int, "eur_millions": _parse_float}
+    parsers = dict(zip(EXPENDITURE_COLUMNS, (_text, _text, _parse_int, _parse_float)))
     return [tuple(values) for _, values in _read_records(path, parsers)]
 
 
@@ -452,7 +459,7 @@ def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
 def series_csv_text(xs: Sequence[float], ys: Sequence[float]) -> str:
     if len(xs) != len(ys):
         raise ValidationError("series x and y lengths differ")
-    lines = ["x,y"]
+    lines = [",".join(SERIES_COLUMNS)]
     for x, y in zip(xs, ys):
         lines.append(f"{fmt_value(x)},{fmt_value(y)}")
     return "\n".join(lines) + "\n"
@@ -463,4 +470,5 @@ def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
-    return [tuple(xy) for _, xy in _read_records(path, {"x": _parse_float, "y": _parse_float})]
+    parsers = dict.fromkeys(SERIES_COLUMNS, _parse_float)
+    return [tuple(xy) for _, xy in _read_records(path, parsers)]

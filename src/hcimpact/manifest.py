@@ -16,6 +16,7 @@ from . import io
 from .errors import ValidationError
 from .expenditure import ModelParameters
 from .impact import ScenarioConfig, ScenarioInputs, parse_selector
+from .population import MortalityTable, PopulationPath
 from .relative_risk import LaborMarketState, build_rr_envelope
 
 __all__ = ["RunManifest", "parse_manifest"]
@@ -90,17 +91,11 @@ class RunManifest:
             shock_date=self.number("scenario.shock_date", 2015, int),
         )
 
-    def load_inputs(self) -> ScenarioInputs:
-        """Parse every data input and assemble the scenario bundle.
+    def load_populations(self) -> tuple[dict[str, PopulationPath], MortalityTable]:
+        """The population scenarios and the mortality table, on one grid.
 
-        Undiluted risks are diluted with the manifest's unemployment rate
-        and the mortality envelope is built with its envelope policy
-        (:meth:`risk_settings`). Fail-fast: any missing file or schema
-        violation raises before the caller computes or writes anything.
+        These are the only inputs a projection reads.
         """
-        files = {key: self.source.parent / self.require(key) for key in IMPACT_DATA_KEYS}
-        labor, policy = self.risk_settings()
-
         populations = {}
         grid = None
         for p in self.paths("data.population"):
@@ -113,9 +108,23 @@ class RunManifest:
                 elif path_obj.grid != grid:
                     raise ValidationError(f"{p}: population grids differ across files")
 
-        mortality = io.read_mortality_csv(files["data.mortality"])
+        mortality = io.read_mortality_csv(self.source.parent / self.require("data.mortality"))
         if mortality.grid != grid:
             raise ValidationError("mortality table grid differs from the population grid")
+        return populations, mortality
+
+    def load_inputs(self) -> ScenarioInputs:
+        """Parse every data input and assemble the scenario bundle.
+
+        Undiluted risks are diluted with the manifest's unemployment rate
+        and the mortality envelope is built with its envelope policy
+        (:meth:`risk_settings`). Fail-fast: any missing file or schema
+        violation raises before the caller computes or writes anything.
+        """
+        files = {key: self.source.parent / self.require(key) for key in IMPACT_DATA_KEYS}
+        labor, policy = self.risk_settings()
+        populations, mortality = self.load_populations()
+        grid = mortality.grid
 
         records = io.read_rr_mortality_csv(files["data.rr_mortality"])
         rr_mortality = build_rr_envelope(records, labor, grid, policy=policy)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CohortGrid
+from .grid import CohortGrid, frozen_array
 
 __all__ = [
     "MortalityTable",
@@ -24,12 +24,6 @@ __all__ = [
     "project_population",
     "annualized",
 ]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def annualized(pd5: np.ndarray) -> np.ndarray:
@@ -49,15 +43,9 @@ class MortalityTable:
     death_prob: np.ndarray
 
     def __post_init__(self) -> None:
-        dp = _readonly(self.death_prob)
+        shape = (self.grid.n_cohorts, self.grid.n_dates)
+        dp = frozen_array(self.death_prob, shape, "death probabilities", hi=1.0)
         object.__setattr__(self, "death_prob", dp)
-        expected = (self.grid.n_cohorts, self.grid.n_dates)
-        if dp.shape != expected:
-            raise ValidationError(
-                f"mortality table shape {dp.shape} does not cover grid {expected}"
-            )
-        if np.any(~np.isfinite(dp)) or np.any(dp < 0.0) or np.any(dp > 1.0):
-            raise ValidationError("death probabilities must lie in [0, 1]")
 
     def at(self, date: int) -> np.ndarray:
         """Death-probability column for one projection date."""
@@ -80,15 +68,8 @@ class PopulationPath:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        c = _readonly(self.counts)
-        object.__setattr__(self, "counts", c)
-        expected = (self.grid.n_cohorts, self.grid.n_dates)
-        if c.shape != expected:
-            raise ValidationError(
-                f"population path shape {c.shape} does not cover grid {expected}"
-            )
-        if np.any(~np.isfinite(c)) or np.any(c < 0.0):
-            raise ValidationError("head-counts must be finite and non-negative")
+        shape = (self.grid.n_cohorts, self.grid.n_dates)
+        object.__setattr__(self, "counts", frozen_array(self.counts, shape, "head-counts"))
 
     def at(self, date: int) -> np.ndarray:
         return self.counts[:, self.grid.date_index(date)]
@@ -139,13 +120,7 @@ def project_population(
         horizon = grid.dates[-1]
     last = grid.date_index(horizon)
 
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (grid.n_cohorts,):
-        raise ValidationError(
-            f"initial population has {initial.shape} entries, grid has {grid.n_cohorts} cohorts"
-        )
-    if np.any(~np.isfinite(initial)) or np.any(initial < 0.0):
-        raise ValidationError("initial head-counts must be finite and non-negative")
+    initial = frozen_array(initial, (grid.n_cohorts,), "initial head-counts")
 
     n = grid.n_cohorts
     counts = np.zeros((n, last + 1))

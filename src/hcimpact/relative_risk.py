@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CohortGrid
+from .grid import CohortGrid, frozen_array
 from .population import MortalityTable
 
 __all__ = [
@@ -97,17 +97,11 @@ class MortalityRRTable:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        for name, a in (("lower", lo), ("upper", hi)):
-            if a.shape != (self.grid.n_cohorts,):
-                raise ValidationError(f"{name} bounds do not cover every cohort")
-            if np.any(~np.isfinite(a)) or np.any(a < 0.0):
-                raise ValidationError(f"{name} bounds must be finite and >= 0")
+        shape = (self.grid.n_cohorts,)
+        lo = frozen_array(self.lower, shape, "lower bounds")
+        hi = frozen_array(self.upper, shape, "upper bounds")
         if np.any(lo > hi):
             raise ValidationError("lower bound exceeds upper bound for some cohort")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -16,9 +16,9 @@ __all__ = ["render_table", "fmt_cell", "sniff_schema", "render_result_file"]
 
 _SCHEMAS = {
     ",".join(io.IMPACT_COLUMNS): "impact",
-    "model,scenario,date,eur_millions": "expenditure",
-    "scenario,date,cohort_lo,cohort_hi,count_thousands": "population",
-    "x,y": "series",
+    ",".join(io.EXPENDITURE_COLUMNS): "expenditure",
+    ",".join(io.POPULATION_COLUMNS): "population",
+    ",".join(io.SERIES_COLUMNS): "series",
 }
 
 
@@ -96,10 +96,7 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
 
     if schema == "expenditure":
         rows = io.read_expenditure_csv(path)
-        table = render_table(
-            ["model", "scenario", "date", "eur_millions"],
-            [[m, s, d, v] for m, s, d, v in rows],
-        )
+        table = render_table(list(io.EXPENDITURE_COLUMNS), [list(row) for row in rows])
         series = []
         for model, scenario in dict.fromkeys((m, s) for m, s, _, _ in rows):
             pts = [(d, v) for m, s, d, v in rows if (m, s) == (model, scenario)]
@@ -125,5 +122,5 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
 
     # plain series file: table it back, no derived series
     pts = io.read_series_csv(path)
-    table = render_table(["x", "y"], [[x, y] for x, y in pts])
+    table = render_table(list(io.SERIES_COLUMNS), [list(xy) for xy in pts])
     return table, []

@@ -1,7 +1,10 @@
 import errno
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from hcimpact import cli
 from hcimpact.cli import main
@@ -118,6 +121,23 @@ class TestProject:
         table = (out / "population_SIM-A.txt").read_text()
         assert "cohort" in table and "2015" in table
         assert "0-4" in table and "5+" in table
+
+    @pytest.mark.parametrize("break_unused_input", [
+        lambda bundle: (bundle / "manifest.txt").write_text(
+            (bundle / "manifest.txt").read_text().replace("data.gdp = gdp.csv\n", "")),
+        lambda bundle: (bundle / "shares.csv").write_text("service,fraction\nH,oops\n"),
+    ], ids=["gdp_key_removed", "shares_malformed"])
+    def test_reads_only_population_and_mortality(self, tmp_path, data_dir, break_unused_input):
+        bundle = tmp_path / "data"
+        shutil.copytree(data_dir, bundle)
+        break_unused_input(bundle)
+        expected, out = tmp_path / "expected", tmp_path / "out"
+        assert run_cli("project", "--manifest", data_dir / "manifest.txt", "--out", expected) == 0
+        assert run_cli("project", "--manifest", bundle / "manifest.txt", "--out", out) == 0
+        assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in expected.iterdir())
+        for f in expected.iterdir():
+            assert (out / f.name).read_bytes() == f.read_bytes()
+        assert run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out) == 2
 
 
 class TestImpact:
@@ -416,3 +436,18 @@ class TestAtomicOutput:
         manifest.write_text(text.replace("scenario.model = DC", "scenario.model = PD"))
         assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_directory_at_a_target_replaces_nothing(self, tmp_path, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        out = tmp_path / "out"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 0
+        before = (out / "impact.csv").read_bytes()
+        (out / "expenditure.csv").unlink()
+        (out / "expenditure.csv").mkdir()
+        text = manifest.read_text()
+        manifest.write_text(text.replace("scenario.model = DC", "scenario.model = PD"))
+        capsys.readouterr()
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert (out / "impact.csv").read_bytes() == before
+        assert sorted(f.name for f in out.iterdir()) == ["expenditure.csv", "impact.csv"]
