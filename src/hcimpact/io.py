@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -86,6 +87,10 @@ def selector_text(sel: str | float) -> str:
     return sel if isinstance(sel, str) else fmt_value(sel)
 
 
+# The largest finite float: ``lo <= v <= _MAX`` is false for nan and both infinities.
+_MAX = sys.float_info.max
+
+
 def _fail(path, msg: str, line: int | None = None) -> None:
     where = f"{path}:{line}" if line is not None else str(path)
     raise ValidationError(f"{where}: {msg}")
@@ -115,8 +120,13 @@ def open_text(path):
         _fail(path, str(exc))
 
 
-def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (line_number, row_dict) after validating the header."""
+@contextmanager
+def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
+    """Open a CSV file and validate its header; yields ``(header, reader)``.
+
+    The header (cells stripped) must name every ``required`` column, no
+    column twice and none outside ``required`` and ``optional``.
+    """
     with open_text(path) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -132,12 +142,23 @@ def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
         unknown = [c for c in header if c not in (*required, *optional)]
         if unknown:
             _fail(path, f"unknown column(s): {', '.join(unknown)}")
-        width = len(header)
+        yield header, reader
+
+
+def _row_cells(path, line: int, row: list[str], width: int) -> list[str] | None:
+    """The stripped cells of a row, a short row padded with empty cells;
+    None for a blank line."""
+    if len(row) > width:
+        _fail(path, "row has more fields than the header", line)
+    return [v.strip() for v in row] + [""] * (width - len(row)) if row else None
+
+
+def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
+    """Yield ``(line_number, {column: cell})`` for each non-blank row."""
+    with _open_table(path, required, optional) as (header, reader):
         for row in reader:
-            if len(row) > width:
-                _fail(path, "row has more fields than the header", reader.line_num)
-            if row:  # blank lines are skipped; short rows read as empty fields
-                cells = [v.strip() for v in row] + [""] * (width - len(row))
+            cells = _row_cells(path, reader.line_num, row, len(header))
+            if cells is not None:
                 yield reader.line_num, dict(zip(header, cells))
 
 
@@ -174,7 +195,7 @@ def _read_records(path, parsers):
         yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
-def _read_cohort_table(path, value_column, rejects, key=None, grid=None, unused=()):
+def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None, unused=()):
     """The one reader of cohort-indexed tables: the grid and ``{id: values}``.
 
     ``key`` is the id column of a file of several tables (messages call an
@@ -182,39 +203,83 @@ def _read_cohort_table(path, value_column, rejects, key=None, grid=None, unused=
     stored under id None. Without a ``grid`` the file has a ``date``
     column, the grid is read from its cells and each table is a
     ``(cohorts, dates)`` array; with one, each table is one value per
-    cohort of ``grid``. ``rejects(value)`` returns why a value is invalid,
-    or None. Columns in ``unused`` are optional numbers that are validated
-    but not kept.
+    cohort of ``grid``. A value is valid when finite and within the closed
+    interval ``bounds``; ``problem.format(value)`` says why another is not.
+    Columns in ``unused`` are optional numbers that are validated but not
+    kept.
+
+    Each row is read by position in one quick test. ``int`` and ``float``
+    ignore surrounding whitespace as ``strip`` does, so only the id cell is
+    stripped. A row the quick test doubts goes to ``checked``, which makes
+    every check in order and either fails with the row's line or returns
+    the row's cell.
     """
     dated = grid is None
     what = key and key.removesuffix("_id")
     columns = ((key,) if key else ()) + (("date",) if dated else ()) + (
         "cohort_lo", "cohort_hi", value_column)
-    tables: dict[str | None, dict] = {}
-    date = None
-    for line, row in _read_rows(path, columns, optional=unused):
-        table_id = row[key] if key else None
-        if key and not table_id:
-            _fail(path, f"empty {what} id", line)
-        if dated:
-            date = _parse_int(path, line, "date", row["date"])
-        lo = _parse_int(path, line, "cohort_lo", row["cohort_lo"])
-        hi = _parse_int(path, line, "cohort_hi", row["cohort_hi"])
-        if hi - lo != COHORT_WIDTH - 1:
-            _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
-        value = _parse_float(path, line, value_column, row[value_column])
-        problem = rejects(value)
-        if problem:
-            _fail(path, problem, line)
-        for column in unused:
-            if row.get(column):
-                _parse_float(path, line, column, row[column])
-        cells = tables.setdefault(table_id, {})
-        if (lo, date) in cells:
-            owner = f"{what} {table_id}, " if key else ""
-            when = f", date {date}" if dated else ""
-            _fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
-        cells[(lo, date)] = value
+    low, high = bounds
+    tables: dict[str | None, dict] = {}  # id: {(cohort_lo, date): value}
+    with _open_table(path, columns, unused) as (header, reader):
+        width = len(header)
+        at = {column: i for i, column in enumerate(header)}
+        id_at = at.get(key)
+        date_at = at.get("date")
+        lo_at, hi_at, value_at = at["cohort_lo"], at["cohort_hi"], at[value_column]
+        extra = [(column, at[column]) for column in unused if column in at]
+
+        def checked(line, row):
+            """The row's ``(id, cohort_lo, date, value)``; None for a blank line."""
+            row = _row_cells(path, line, row, width)
+            if row is None:
+                return None
+            table_id = row[id_at] if key else None
+            if key and not table_id:
+                _fail(path, f"empty {what} id", line)
+            date = _parse_int(path, line, "date", row[date_at]) if dated else None
+            lo = _parse_int(path, line, "cohort_lo", row[lo_at])
+            hi = _parse_int(path, line, "cohort_hi", row[hi_at])
+            if hi - lo != COHORT_WIDTH - 1:
+                _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+            value = _parse_float(path, line, value_column, row[value_at])
+            if not low <= value <= high:
+                _fail(path, problem.format(value), line)
+            for column, i in extra:
+                if row[i]:
+                    _parse_float(path, line, column, row[i])
+            if (lo, date) in tables.get(table_id, ()):
+                owner = f"{what} {table_id}, " if key else ""
+                when = f", date {date}" if dated else ""
+                _fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
+            return table_id, lo, date, value
+
+        # ``cells`` is the table of id ``current``; a row of another table is
+        # doubted, so the quick test needs no lookup of its table.
+        table_id = date = None
+        current, cells = "", {}
+        for row in reader:
+            try:
+                if key:
+                    table_id = row[id_at].strip()
+                if dated:
+                    date = int(row[date_at])
+                lo = int(row[lo_at])
+                value = float(row[value_at])
+                quick = (
+                    len(row) == width and table_id == current
+                    and int(row[hi_at]) - lo == COHORT_WIDTH - 1
+                    and low <= value <= high and (lo, date) not in cells
+                    and (not extra or all(-_MAX <= float(row[i]) <= _MAX for _, i in extra))
+                )
+            except (ValueError, IndexError):
+                quick = False
+            if not quick:
+                parsed = checked(reader.line_num, row)
+                if parsed is None:
+                    continue
+                current, lo, date, value = parsed
+                cells = tables.setdefault(current, {})
+            cells[lo, date] = value
     if not tables:
         _fail(path, "no data rows")
     if dated:
@@ -245,8 +310,7 @@ def _read_cohort_table(path, value_column, rejects, key=None, grid=None, unused=
 def read_population_csv(path) -> dict[str, PopulationPath]:
     """Parse every scenario of a population file, validating coverage."""
     grid, counts = _read_cohort_table(
-        path, "count_thousands", lambda v: f"negative head-count {v}" if v < 0.0 else None,
-        key="scenario",
+        path, "count_thousands", (0.0, _MAX), "negative head-count {}", key="scenario",
     )
     return {s: PopulationPath(scenario=s, grid=grid, counts=c) for s, c in counts.items()}
 
@@ -287,8 +351,7 @@ def read_mortality_csv(path) -> MortalityTable:
     """Parse a mortality table; an optional ``life_expectancy`` column is
     checked to be numeric and otherwise ignored."""
     grid, tables = _read_cohort_table(
-        path, "pd_5yr",
-        lambda v: None if 0.0 <= v <= 1.0 else f"death probability {v} outside [0, 1]",
+        path, "pd_5yr", (0.0, 1.0), "death probability {} outside [0, 1]",
         unused=("life_expectancy",),
     )
     return MortalityTable(grid=grid, death_prob=tables[None])
@@ -360,15 +423,15 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
 
 def read_cost_profiles_csv(path, grid: CohortGrid) -> dict[str, CostProfile]:
     _, values = _read_cohort_table(
-        path, "eur_per_capita", lambda v: f"negative per-capita cost {v}" if v < 0.0 else None,
+        path, "eur_per_capita", (0.0, _MAX), "negative per-capita cost {}",
         key="profile_id", grid=grid,
     )
     return {key: CostProfile(key, grid, v) for key, v in values.items()}
 
 
 def read_ds_ratios_csv(path, grid: CohortGrid) -> dict[str, DSRatioProfile]:
-    _, values = _read_cohort_table(
-        path, "ratio", lambda v: f"D/S ratio must be > 0, got {v}" if v <= 0.0 else None,
+    _, values = _read_cohort_table(  # math.ulp(0.0) is the least float > 0
+        path, "ratio", (math.ulp(0.0), _MAX), "D/S ratio must be > 0, got {}",
         key="scenario", grid=grid,
     )
     return {key: DSRatioProfile(key, grid, v) for key, v in values.items()}

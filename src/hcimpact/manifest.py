@@ -9,6 +9,7 @@ validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,6 +60,13 @@ class RunManifest:
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise ValidationError(f"{self.source}: key {key!r}: {raw!r} is not {what}") from None
+
+    def nonnegative(self, key: str, default: float) -> float:
+        """The value of ``key`` as a finite number >= 0, or ``default``."""
+        v = self.number(key, default)
+        if not math.isfinite(v) or v < 0.0:
+            raise ValidationError(f"{self.source}: key {key!r}: must be finite and >= 0, got {v}")
+        return v
 
     def get_list(self, key: str) -> list[str]:
         raw = self.require(key)
@@ -123,6 +131,8 @@ class RunManifest:
         """
         files = {key: self.source.parent / self.require(key) for key in IMPACT_DATA_KEYS}
         labor, policy = self.risk_settings()
+        utilization = self.nonnegative("params.utilization", 1.0)
+        health_improvement_rate = self.nonnegative("params.health_improvement_rate", 0.25)
         populations, mortality = self.load_populations()
         grid = mortality.grid
 
@@ -136,8 +146,8 @@ class RunManifest:
         ds_profiles = io.read_ds_ratios_csv(files["data.ds_ratios"], grid)
         shares = io.read_shares_csv(files["data.shares"])
         params = ModelParameters(
-            utilization=self.number("params.utilization", 1.0),
-            health_improvement_rate=self.number("params.health_improvement_rate", 0.25),
+            utilization=utilization,
+            health_improvement_rate=health_improvement_rate,
             gdp=io.read_gdp_csv(files["data.gdp"]),
         )
         return ScenarioInputs(

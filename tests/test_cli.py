@@ -164,6 +164,17 @@ class TestImpact:
         assert "cri = 456.104 EUR millions (0.03% of GDP)" in stdout
         assert "scenario.model = PD" in stdout  # configuration echo
 
+    @pytest.mark.parametrize("key", ["params.utilization", "params.health_improvement_rate"])
+    def test_negative_parameter_names_manifest_and_key(self, tmp_path, capsys, key):
+        manifest = write_mini_bundle(tmp_path / "b")
+        manifest.write_text(manifest.read_text() + f"{key} = -1\n")
+        (tmp_path / "b" / "population.csv").unlink()  # checked before any data file is read
+        out = tmp_path / "out"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: key {key!r}: must be finite and >= 0, got -1.0" in err
+        assert not out.exists()
+
     def test_invalid_model_lists_valid_ids(self, tmp_path, capsys):
         manifest = write_mini_bundle(tmp_path / "b", model="WRONG")
         assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / "o") == 2

@@ -1,9 +1,14 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcimpact import (
+    CostProfile,
+    DSRatioProfile,
     ExpenditurePath,
     GridRow,
     ImpactResult,
@@ -13,6 +18,7 @@ from hcimpact import (
     ValidationError,
 )
 from hcimpact import io
+from hcimpact.grid import COHORT_WIDTH, CohortGrid
 
 from conftest import grid_of
 
@@ -290,3 +296,283 @@ def test_reader_parses_or_rejects_any_bytes(tmp_path_factory, name, with_header,
         reader(f)
     except ValidationError:
         pass
+
+
+class TestRowsTheQuickTestDoubts:
+    """Valid rows that fail the cohort reader's quick test are still accepted."""
+
+    def test_whitespace_only_life_expectancy(self, tmp_path):
+        f = tmp_path / "mort.csv"
+        f.write_text(
+            "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy\n2010,0,4,0.01, \n2010,5,9,0.02,80\n"
+        )
+        assert io.read_mortality_csv(f).death_prob[:, 0].tolist() == [0.01, 0.02]
+
+    def test_id_with_surrounding_spaces(self, tmp_path):
+        f = tmp_path / "pop.csv"
+        f.write_text(
+            "scenario,date,cohort_lo,cohort_hi,count_thousands\n"
+            " X ,2010,0,4,10\n\tX,2010,5,9,11\nX\t,2015,0,4,12\nX,2015,5,9,13\n"
+        )
+        paths = io.read_population_csv(f)
+        assert list(paths) == ["X"]
+        assert paths["X"].counts.tolist() == [[10.0, 12.0], [11.0, 13.0]]
+
+    def test_numeric_cells_with_surrounding_spaces(self, tmp_path):
+        f = tmp_path / "costs.csv"
+        f.write_text(
+            "profile_id,cohort_lo,cohort_hi,eur_per_capita\n"
+            "A, 0 ,\t4, 780.59 \nA,5,9 ,\t1366.04\n"
+        )
+        assert io.read_cost_profiles_csv(f, grid_of(2, 1))["A"].values.tolist() == [
+            780.59, 1366.04]
+
+
+# The cohort reader against the reader it replaced. ``_reference_cohort_table``
+# and ``_reference_rows`` are copies of that path (every cell stripped into a
+# dict, every check a call) and live only here, as the reference.
+
+def _reference_fail(path, msg, line=None):
+    where = f"{path}:{line}" if line is not None else str(path)
+    raise ValidationError(f"{where}: {msg}")
+
+
+def _reference_rows(path, required, optional=()):
+    with io.open_text(path) as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            _reference_fail(path, "empty file, expected a header row")
+        header = [h.strip() for h in first]
+        duplicate = sorted({h for h in header if header.count(h) > 1})
+        if duplicate:
+            _reference_fail(path, f"duplicate column(s): {', '.join(duplicate)}")
+        missing = [c for c in required if c not in header]
+        if missing:
+            _reference_fail(path, f"missing required column(s): {', '.join(missing)}")
+        unknown = [c for c in header if c not in (*required, *optional)]
+        if unknown:
+            _reference_fail(path, f"unknown column(s): {', '.join(unknown)}")
+        width = len(header)
+        for row in reader:
+            if len(row) > width:
+                _reference_fail(path, "row has more fields than the header", reader.line_num)
+            if row:
+                cells = [v.strip() for v in row] + [""] * (width - len(row))
+                yield reader.line_num, dict(zip(header, cells))
+
+
+def _reference_float(path, line, column, text):
+    try:
+        v = float(text)
+    except ValueError:
+        _reference_fail(path, f"column {column!r}: {text!r} is not a number", line)
+    if not math.isfinite(v):
+        _reference_fail(path, f"column {column!r}: value must be finite", line)
+    return v
+
+
+def _reference_int(path, line, column, text):
+    try:
+        return int(text)
+    except ValueError:
+        _reference_fail(path, f"column {column!r}: {text!r} is not an integer", line)
+
+
+def _reference_cohort_table(path, value_column, rejects, key=None, grid=None, unused=()):
+    dated = grid is None
+    what = key and key.removesuffix("_id")
+    columns = ((key,) if key else ()) + (("date",) if dated else ()) + (
+        "cohort_lo", "cohort_hi", value_column)
+    tables = {}
+    date = None
+    for line, row in _reference_rows(path, columns, optional=unused):
+        table_id = row[key] if key else None
+        if key and not table_id:
+            _reference_fail(path, f"empty {what} id", line)
+        if dated:
+            date = _reference_int(path, line, "date", row["date"])
+        lo = _reference_int(path, line, "cohort_lo", row["cohort_lo"])
+        hi = _reference_int(path, line, "cohort_hi", row["cohort_hi"])
+        if hi - lo != COHORT_WIDTH - 1:
+            _reference_fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+        value = _reference_float(path, line, value_column, row[value_column])
+        problem = rejects(value)
+        if problem:
+            _reference_fail(path, problem, line)
+        for column in unused:
+            if row.get(column):
+                _reference_float(path, line, column, row[column])
+        cells = tables.setdefault(table_id, {})
+        if (lo, date) in cells:
+            owner = f"{what} {table_id}, " if key else ""
+            when = f", date {date}" if dated else ""
+            _reference_fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
+        cells[(lo, date)] = value
+    if not tables:
+        _reference_fail(path, "no data rows")
+    if dated:
+        starts = {lo for cells in tables.values() for lo, _ in cells}
+        dates = {d for cells in tables.values() for _, d in cells}
+        try:
+            grid = CohortGrid(tuple(sorted(starts)), tuple(sorted(dates)))
+        except ValidationError as exc:
+            _reference_fail(path, str(exc))
+    order = [(lo, d) for lo in grid.cohort_starts for d in (grid.dates if dated else (None,))]
+    shape = (grid.n_cohorts, grid.n_dates) if dated else (grid.n_cohorts,)
+    values = {}
+    for table_id, cells in tables.items():
+        try:
+            values[table_id] = np.array([cells[cell] for cell in order]).reshape(shape)
+        except KeyError as exc:
+            lo, d = exc.args[0]
+            label = grid.cohort_label(grid.cohort_starts.index(lo))
+            owner = f"{what} {table_id}: " if key else ""
+            missing = f"missing cohort {label}" if d is None else (
+                f"missing cell for cohort {label} at date {d}")
+            _reference_fail(path, owner + missing)
+    return grid, values
+
+
+_COST_GRID = grid_of(3, 1)
+
+
+def _reference_population(path):
+    grid, counts = _reference_cohort_table(
+        path, "count_thousands", lambda v: f"negative head-count {v}" if v < 0.0 else None,
+        key="scenario",
+    )
+    return grid, {s: PopulationPath(s, grid, c).counts for s, c in counts.items()}
+
+
+def _reference_mortality(path):
+    grid, tables = _reference_cohort_table(
+        path, "pd_5yr",
+        lambda v: None if 0.0 <= v <= 1.0 else f"death probability {v} outside [0, 1]",
+        unused=("life_expectancy",),
+    )
+    return grid, {None: MortalityTable(grid, tables[None]).death_prob}
+
+
+def _reference_cost_profiles(path):
+    _, values = _reference_cohort_table(
+        path, "eur_per_capita", lambda v: f"negative per-capita cost {v}" if v < 0.0 else None,
+        key="profile_id", grid=_COST_GRID,
+    )
+    return _COST_GRID, {k: CostProfile(k, _COST_GRID, v).values for k, v in values.items()}
+
+
+def _reference_ds_ratios(path):
+    _, values = _reference_cohort_table(
+        path, "ratio", lambda v: f"D/S ratio must be > 0, got {v}" if v <= 0.0 else None,
+        key="scenario", grid=_COST_GRID,
+    )
+    return _COST_GRID, {k: DSRatioProfile(k, _COST_GRID, v).values for k, v in values.items()}
+
+
+def _population(path):
+    paths = io.read_population_csv(path)
+    return next(iter(paths.values())).grid, {s: p.counts for s, p in paths.items()}
+
+
+def _mortality(path):
+    table = io.read_mortality_csv(path)
+    return table.grid, {None: table.death_prob}
+
+
+def _cost_profiles(path):
+    profiles = io.read_cost_profiles_csv(path, _COST_GRID)
+    return _COST_GRID, {k: p.values for k, p in profiles.items()}
+
+
+def _ds_ratios(path):
+    ratios = io.read_ds_ratios_csv(path, _COST_GRID)
+    return _COST_GRID, {k: r.values for k, r in ratios.items()}
+
+
+_COHORT_FILES = {  # kind: (reader, reference, id column, dated, value column, optional, values)
+    "population": (_population, _reference_population,
+                   "scenario", True, "count_thousands", (), ("0", "12.5", "3000")),
+    "mortality": (_mortality, _reference_mortality,
+                  None, True, "pd_5yr", ("life_expectancy",), ("0", "0.02", "1")),
+    "cost_profiles": (_cost_profiles, _reference_cost_profiles,
+                      "profile_id", False, "eur_per_capita", (), ("0", "780.59", "6400")),
+    "ds_ratios": (_ds_ratios, _reference_ds_ratios,
+                  "scenario", False, "ratio", (), ("0.5", "4", "15.65")),
+}
+_ODD_CELLS = (
+    "", " ", "nan", "inf", "-inf", "-1", "-0.0", "0", "1.5", "+5", "1_0", "1e400", "5e-324",
+    "x", "0x10", " 7 ", "\x1c3", '" 4 "',
+)
+_ROW_EDITS = ("keep",) * 6 + (
+    "pad", "quote", "short", "long", "blank", "drop", "dup", "odd", "bin")
+
+
+@st.composite
+def _cohort_file(draw, kind):
+    """A cohort table file, valid or malformed, as bytes."""
+    _, _, key, dated, value_column, optional, values = _COHORT_FILES[kind]
+    header = ([key] if key else []) + (["date"] if dated else []) + [
+        "cohort_lo", "cohort_hi", value_column]
+    header = draw(st.permutations(header + [c for c in optional if draw(st.booleans())]))
+    ids = ("A", "B")[: draw(st.integers(1, 2))] if key else (None,)
+    dates = (2010, 2015)[: draw(st.integers(1, 2))] if dated else (None,)
+    odd_values = draw(st.booleans())  # then about one value in four is odd
+    lines = [",".join(header)]
+    for table_id in ids:
+        for lo in (0, 5, 10):
+            for date in dates:
+                cell = {
+                    key: table_id, "date": str(date), "cohort_lo": str(lo),
+                    "cohort_hi": str(lo + COHORT_WIDTH - 1),
+                    value_column: draw(st.sampled_from(
+                        _ODD_CELLS if odd_values and draw(st.integers(0, 3)) == 0 else values)),
+                    "life_expectancy": draw(st.sampled_from(
+                        ("80.1", " 80 ", "", " ", "old", "nan", "1e400"))),
+                }
+                row = [cell[c] for c in header]
+                edit = draw(st.sampled_from(_ROW_EDITS))
+                if edit == "pad":
+                    row = [f" {c}\t" for c in row]
+                elif edit == "quote":
+                    row = [f'"{c}"' for c in row]
+                elif edit == "short":
+                    row = row[: draw(st.integers(0, len(row) - 1))]
+                elif edit == "long":
+                    row.append("1")
+                elif edit == "odd":
+                    row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+                elif edit == "bin":
+                    row[header.index("cohort_hi")] = str(lo + COHORT_WIDTH)
+                if edit == "blank":
+                    lines.append("")
+                if edit != "drop":
+                    lines.append(",".join(row))
+                if edit == "dup":
+                    lines.append(",".join(row))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + "\n".join(lines) + "\n").encode()
+
+
+def _outcome(read, path):
+    """``(grid, {id: values})`` of a reader, or its ``ValidationError`` message."""
+    try:
+        return read(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cohort_reader_matches_reference(tmp_path_factory, kind, data):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path_factory.mktemp("cohort") / "table.csv"
+    f.write_bytes(data.draw(_cohort_file(kind)))
+    got, want = _outcome(reader, f), _outcome(reference, f)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        assert all(np.array_equal(got[1][k], want[1][k]) for k in want[1])
