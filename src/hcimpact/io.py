@@ -208,11 +208,12 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     Columns in ``unused`` are optional numbers that are validated but not
     kept.
 
-    Each row is read by position in one quick test. ``int`` and ``float``
-    ignore surrounding whitespace as ``strip`` does, so only the id cell is
-    stripped. A row the quick test doubts goes to ``checked``, which makes
-    every check in order and either fails with the row's line or returns
-    the row's cell.
+    Each row is read by position in one loop. ``int`` and ``float`` accept
+    surrounding whitespace, so only the id cell is stripped; a number cell
+    that does not convert is stripped and parsed again, which names it in
+    the message or, for whitespace ``float`` keeps (such as U+001C),
+    returns its value. The checks run in a fixed order and the first that
+    fails names the row's line.
     """
     dated = grid is None
     what = key and key.removesuffix("_id")
@@ -227,58 +228,48 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
         date_at = at.get("date")
         lo_at, hi_at, value_at = at["cohort_lo"], at["cohort_hi"], at[value_column]
         extra = [(column, at[column]) for column in unused if column in at]
-
-        def checked(line, row):
-            """The row's ``(id, cohort_lo, date, value)``; None for a blank line."""
-            row = _row_cells(path, line, row, width)
-            if row is None:
-                return None
-            table_id = row[id_at] if key else None
-            if key and not table_id:
-                _fail(path, f"empty {what} id", line)
-            date = _parse_int(path, line, "date", row[date_at]) if dated else None
-            lo = _parse_int(path, line, "cohort_lo", row[lo_at])
-            hi = _parse_int(path, line, "cohort_hi", row[hi_at])
+        # ``cells`` is the table of id ``current``; no id equals the sentinel,
+        # so the first row opens its table.
+        table_id = date = None
+        current, cells = object(), None
+        for row in reader:
+            line = reader.line_num
+            if len(row) != width:
+                if not row:
+                    continue
+                row = _row_cells(path, line, row, width)
+            if key:
+                table_id = row[id_at].strip()
+                if not table_id:
+                    _fail(path, f"empty {what} id", line)
+            if table_id != current:
+                current, cells = table_id, tables.setdefault(table_id, {})
+            try:
+                if dated:
+                    date = int(row[date_at])
+                lo, hi = int(row[lo_at]), int(row[hi_at])
+            except ValueError:  # stripped, the first cell that does not parse fails
+                if dated:
+                    date = _parse_int(path, line, "date", row[date_at].strip())
+                lo = _parse_int(path, line, "cohort_lo", row[lo_at].strip())
+                hi = _parse_int(path, line, "cohort_hi", row[hi_at].strip())
             if hi - lo != COHORT_WIDTH - 1:
                 _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
-            value = _parse_float(path, line, value_column, row[value_at])
-            if not low <= value <= high:
-                _fail(path, problem.format(value), line)
+            try:
+                value = float(row[value_at])
+            except ValueError:  # ``float`` strips only ASCII whitespace
+                value = math.nan
+            if not low <= value <= high:  # not a number or not finite fails first
+                value = _parse_float(path, line, value_column, row[value_at].strip())
+                if not low <= value <= high:
+                    _fail(path, problem.format(value), line)
             for column, i in extra:
-                if row[i]:
-                    _parse_float(path, line, column, row[i])
-            if (lo, date) in tables.get(table_id, ()):
+                if text := row[i].strip():
+                    _parse_float(path, line, column, text)
+            if (lo, date) in cells:
                 owner = f"{what} {table_id}, " if key else ""
                 when = f", date {date}" if dated else ""
                 _fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
-            return table_id, lo, date, value
-
-        # ``cells`` is the table of id ``current``; a row of another table is
-        # doubted, so the quick test needs no lookup of its table.
-        table_id = date = None
-        current, cells = "", {}
-        for row in reader:
-            try:
-                if key:
-                    table_id = row[id_at].strip()
-                if dated:
-                    date = int(row[date_at])
-                lo = int(row[lo_at])
-                value = float(row[value_at])
-                quick = (
-                    len(row) == width and table_id == current
-                    and int(row[hi_at]) - lo == COHORT_WIDTH - 1
-                    and low <= value <= high and (lo, date) not in cells
-                    and (not extra or all(-_MAX <= float(row[i]) <= _MAX for _, i in extra))
-                )
-            except (ValueError, IndexError):
-                quick = False
-            if not quick:
-                parsed = checked(reader.line_num, row)
-                if parsed is None:
-                    continue
-                current, lo, date, value = parsed
-                cells = tables.setdefault(current, {})
             cells[lo, date] = value
     if not tables:
         _fail(path, "no data rows")

@@ -298,8 +298,8 @@ def test_reader_parses_or_rejects_any_bytes(tmp_path_factory, name, with_header,
         pass
 
 
-class TestRowsTheQuickTestDoubts:
-    """Valid rows that fail the cohort reader's quick test are still accepted."""
+class TestWhitespaceInValidRows:
+    """Valid cohort rows with whitespace in or around their cells are accepted."""
 
     def test_whitespace_only_life_expectancy(self, tmp_path):
         f = tmp_path / "mort.csv"
@@ -516,6 +516,7 @@ def _cohort_file(draw, kind):
         "cohort_lo", "cohort_hi", value_column]
     header = draw(st.permutations(header + [c for c in optional if draw(st.booleans())]))
     ids = ("A", "B")[: draw(st.integers(1, 2))] if key else (None,)
+    first_id = draw(st.sampled_from((ids[0], ids[0], "", " ")))  # the first row's id
     dates = (2010, 2015)[: draw(st.integers(1, 2))] if dated else (None,)
     odd_values = draw(st.booleans())  # then about one value in four is odd
     lines = [",".join(header)]
@@ -523,7 +524,8 @@ def _cohort_file(draw, kind):
         for lo in (0, 5, 10):
             for date in dates:
                 cell = {
-                    key: table_id, "date": str(date), "cohort_lo": str(lo),
+                    key: table_id if len(lines) > 1 else first_id,
+                    "date": str(date), "cohort_lo": str(lo),
                     "cohort_hi": str(lo + COHORT_WIDTH - 1),
                     value_column: draw(st.sampled_from(
                         _ODD_CELLS if odd_values and draw(st.integers(0, 3)) == 0 else values)),
@@ -562,6 +564,17 @@ def _outcome(read, path):
         return str(exc)
 
 
+def _assert_same_outcome(reader, reference, path):
+    """Equal grids, table order and tables, or the same error message."""
+    got, want = _outcome(reader, path), _outcome(reference, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        assert all(np.array_equal(got[1][k], want[1][k]) for k in want[1])
+
+
 @pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -569,10 +582,58 @@ def test_cohort_reader_matches_reference(tmp_path_factory, kind, data):
     reader, reference = _COHORT_FILES[kind][:2]
     f = tmp_path_factory.mktemp("cohort") / "table.csv"
     f.write_bytes(data.draw(_cohort_file(kind)))
-    got, want = _outcome(reader, f), _outcome(reference, f)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-    else:
-        assert got[0] == want[0]
-        assert list(got[1]) == list(want[1])
-        assert all(np.array_equal(got[1][k], want[1][k]) for k in want[1])
+    _assert_same_outcome(reader, reference, f)
+
+
+# Files whose first data rows reach states a random file rarely does: an
+# empty or blank id before any table exists, every id empty, an empty id
+# after a complete table, and a first row that is blank, short or padded.
+_EDGE_FILES = {
+    "population": (
+        ",2010,0,4,999\nX,2010,0,4,1\nX,2010,5,9,2\n",
+        " ,2010,0,4,999\nX,2010,0,4,1\nX,2010,5,9,2\n",
+        ",2010,0,4,1\n,2010,5,9,2\n",
+        "X,2010,0,4,1\nX,2010,5,9,2\n\t,2010,0,4,3\n",
+        "\nX,2010,0,4,1\nX,2010,5,9,2\n",
+        "X,2010\nX,2010,5,9,2\n",
+        " X , 2010 ,\x1c0, 4\x1c,\x1c1\nX,2010,5,9,2\n",
+    ),
+    "cost_profiles": (
+        ",0,4,999\nA,0,4,1\nA,5,9,2\nA,10,14,3\n",
+        "\t,0,4,999\nA,0,4,1\nA,5,9,2\nA,10,14,3\n",
+        ",0,4,1\n,5,9,2\n,10,14,3\n",
+        "A,0,4,1\nA,5,9,2\nA,10,14,3\n ,0,4,1\n",
+    ),
+}
+_EDGE_HEADERS = {
+    "population": "scenario,date,cohort_lo,cohort_hi,count_thousands",
+    "cost_profiles": "profile_id,cohort_lo,cohort_hi,eur_per_capita",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, rows", [(kind, rows) for kind, files in _EDGE_FILES.items() for rows in files]
+)
+def test_cohort_reader_matches_reference_on_edge_files(tmp_path, kind, rows):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path / "table.csv"
+    f.write_text(f"{_EDGE_HEADERS[kind]}\n{rows}")
+    _assert_same_outcome(reader, reference, f)
+
+
+@pytest.mark.parametrize("first_id", ["", " ", "\t"])
+def test_empty_id_on_the_first_data_row_is_rejected(tmp_path, first_id):
+    pop = tmp_path / "pop.csv"
+    pop.write_text(
+        "scenario,date,cohort_lo,cohort_hi,count_thousands\n"
+        f"{first_id},2010,0,4,999\nX,2010,0,4,1\nX,2010,5,9,2\n"
+    )
+    with pytest.raises(ValidationError, match=r"pop\.csv:2: empty scenario id$"):
+        io.read_population_csv(pop)
+    costs = tmp_path / "costs.csv"
+    costs.write_text(
+        "profile_id,cohort_lo,cohort_hi,eur_per_capita\n"
+        f"{first_id},0,4,999\nA,0,4,1\nA,5,9,2\n"
+    )
+    with pytest.raises(ValidationError, match=r"costs\.csv:2: empty profile id$"):
+        io.read_cost_profiles_csv(costs, grid_of(2, 1))
