@@ -44,6 +44,7 @@ from .expenditure import (
     rescaling_factor,
 )
 from .impact import (
+    GridResult,
     GridRow,
     ImpactResult,
     ScenarioConfig,
@@ -91,6 +92,7 @@ __all__ = [
     "expenditure_dc",
     "expenditure_pd",
     "rescaling_factor",
+    "GridResult",
     "GridRow",
     "ImpactResult",
     "ScenarioConfig",

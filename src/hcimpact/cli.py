@@ -136,10 +136,7 @@ def _impact_table(stem: str, rows, fmt: str) -> dict[str, str]:
     """The impact result file of ``rows``: ``{stem}.csv`` or an aligned ``{stem}.txt``."""
     if fmt == "csv":
         return {f"{stem}.csv": io.impact_csv_text(rows)}
-    cells = [[
-        r.model, r.pop_scenario, io.selector_text(r.rr_selector), r.rf,
-        r.result.crimi, r.result.criui, r.result.cri, r.result.cri_gdp_pct,
-    ] for r in rows]
+    cells = list(zip(*io.impact_columns(rows, float)))
     return {f"{stem}.txt": render_table(list(io.IMPACT_COLUMNS), cells)}
 
 
@@ -179,16 +176,16 @@ def _build_sensitivity(manifest: RunManifest, fmt: str):
     rr_values = [parse_selector(s) for s in manifest.get_list("sensitivity.rr_values")]
     rf_values = [parse_selector(s) for s in manifest.get_list("sensitivity.rf_values")]
 
-    rows = sensitivity_grid(base, inputs, rr_values, rf_values, models, pops)
+    grid = sensitivity_grid(base, inputs, rr_values, rf_values, models, pops)
 
-    lo = min(rows, key=lambda r: r.result.cri)
-    hi = max(rows, key=lambda r: r.result.cri)
+    cri = grid.cri.ravel()  # argmin/argmax take the first extreme cell, as min/max did
+    lo, hi = grid[int(cri.argmin())].result, grid[int(cri.argmax())].result
     stdout = [
-        f"grid cells = {len(rows)}",
-        f"CRI min = {_eur(lo.result.cri, lo.result.cri_gdp_pct)}",
-        f"CRI max = {_eur(hi.result.cri, hi.result.cri_gdp_pct)}",
+        f"grid cells = {len(grid)}",
+        f"CRI min = {_eur(lo.cri, lo.cri_gdp_pct)}",
+        f"CRI max = {_eur(hi.cri, hi.cri_gdp_pct)}",
     ]
-    return _impact_table("sensitivity", rows, fmt), stdout
+    return _impact_table("sensitivity", grid, fmt), stdout
 
 
 def _build_report(manifest: RunManifest, fmt: str):

@@ -15,7 +15,10 @@ perturbation is trivial.
 
 There is one evaluation path, :func:`sensitivity_grid`, and it evaluates
 the shock date only; a single scenario (:func:`cri`, :func:`crimi`,
-:func:`criui`) is its one-cell case.
+:func:`criui`) is its one-cell case. The grid comes back as a
+:class:`GridResult`: ``crimi`` depends only on (model, population, RR)
+and ``criui`` only on (model, population, RF), so it keeps those two
+arrays plus the axes, and builds each cell's :class:`GridRow` on demand.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .expenditure import (
     require_same_grid,
     rescaling_factor,
 )
-from .grid import CohortGrid
+from .grid import CohortGrid, frozen_array
 from .population import MortalityTable, PopulationPath
 from .relative_risk import MortalityRRTable, UtilizationRRSet, shock_death_probs
 
@@ -47,6 +50,7 @@ __all__ = [
     "ScenarioInputs",
     "ImpactResult",
     "GridRow",
+    "GridResult",
     "crimi",
     "criui",
     "cri",
@@ -72,9 +76,11 @@ def parse_selector(text: str) -> str | float:
         ) from None
 
 
-def gdp_share_pct(value_eur_m: float, gdp_eur_m: float) -> float:
-    """Express an EUR-millions value as a percentage of GDP."""
-    if not np.isfinite(gdp_eur_m) or gdp_eur_m <= 0.0:
+def gdp_share_pct(value_eur_m, gdp_eur_m: float | None):
+    """Express an EUR-millions value (a number or an array) as a percentage of GDP."""
+    if gdp_eur_m is None:
+        raise ValidationError("no GDP available at the evaluation date")
+    if not math.isfinite(gdp_eur_m) or gdp_eur_m <= 0.0:
         raise ValidationError(f"GDP must be positive, got {gdp_eur_m}")
     return value_eur_m / gdp_eur_m * 100.0
 
@@ -158,22 +164,17 @@ class ImpactResult:
     def cri(self) -> float:
         return self.crimi + self.criui
 
-    def _share(self, value: float) -> float:
-        if self.gdp is None:
-            raise ValidationError("no GDP available at the evaluation date")
-        return gdp_share_pct(value, self.gdp)
-
     @property
     def crimi_gdp_pct(self) -> float:
-        return self._share(self.crimi)
+        return gdp_share_pct(self.crimi, self.gdp)
 
     @property
     def criui_gdp_pct(self) -> float:
-        return self._share(self.criui)
+        return gdp_share_pct(self.criui, self.gdp)
 
     @property
     def cri_gdp_pct(self) -> float:
-        return self._share(self.cri)
+        return gdp_share_pct(self.cri, self.gdp)
 
 
 def crimi(config: ScenarioConfig, inputs: ScenarioInputs) -> float:
@@ -221,6 +222,55 @@ class GridRow:
     result: ImpactResult
 
 
+@dataclass(frozen=True, eq=False)
+class GridResult(Sequence[GridRow]):
+    """A sensitivity grid as columns: its axes, the read-only arrays
+    ``crimi[model, pop, rr]`` and ``criui[model, pop, rf]``, the date and
+    the GDP there. As a sequence it yields one :class:`GridRow` per cell
+    in (model, population, RR, RF) order, built when asked for.
+    """
+
+    models: tuple[str, ...]
+    pop_scenarios: tuple[str, ...]
+    rr_values: tuple[str | float, ...]
+    rfs: tuple[float, ...]  # resolved numeric rescaling factors
+    date: int
+    gdp: float | None  # EUR millions
+    crimi: np.ndarray
+    criui: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.crimi).all() and np.isfinite(self.criui).all()):
+            raise NumericalError("impact components must be finite")
+        m, p, r, f = self.shape
+        for name, shape in (("crimi", (m, p, r)), ("criui", (m, p, f))):
+            values = frozen_array(getattr(self, name), shape, name, lo=-math.inf)
+            object.__setattr__(self, name, values)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return len(self.models), len(self.pop_scenarios), len(self.rr_values), len(self.rfs)
+
+    @property
+    def cri(self) -> np.ndarray:
+        """CRI of every cell, shaped :attr:`shape`: the same sum as :attr:`ImpactResult.cri`."""
+        return self.crimi[:, :, :, None] + self.criui[:, :, None, :]
+
+    def __len__(self) -> int:
+        return self.crimi.size * len(self.rfs)
+
+    def __getitem__(self, k: int) -> GridRow:
+        n, n_rf = len(self), len(self.rfs)
+        if not -n <= k < n:
+            raise IndexError(f"grid cell {k} out of range for {n} cells")
+        mpr, f = divmod(k % n, n_rf)
+        mp, r = divmod(mpr, len(self.rr_values))
+        m, p = divmod(mp, len(self.pop_scenarios))
+        crimi, criui = self.crimi.item(mpr), self.criui.item(mp * n_rf + f)
+        result = ImpactResult(self.date, crimi, criui, self.gdp)
+        return GridRow(self.models[m], self.pop_scenarios[p], self.rr_values[r], self.rfs[f], result)
+
+
 def sensitivity_grid(
     base: ScenarioConfig,
     inputs: ScenarioInputs,
@@ -228,7 +278,7 @@ def sensitivity_grid(
     rf_values: Sequence[str | float],
     models: Sequence[str],
     pop_scenarios: Sequence[str],
-) -> list[GridRow]:
+) -> GridResult:
     """Evaluate the full Cartesian product of scenario overrides.
 
     Axis entries for the risk selections are either the bound names of
@@ -241,8 +291,9 @@ def sensitivity_grid(
     gives the base weights, the shocked ones for all RR selectors as one
     ``(n_rr, cohorts)`` stack, and the rescaled ones for all RF-scaled
     cost rows as one ``(n_rf, cohorts)`` stack. Per population each row
-    is contracted once, so a cell costs two subtractions; the rescaled
-    value is a real evaluation, not ``(RF - 1) * base``.
+    is contracted once, and each ``crimi`` and ``criui`` entry is one
+    subtraction; the rescaled value is a real evaluation, not
+    ``(RF - 1) * base``.
     """
     for name, axis in (
         ("models", models),
@@ -271,20 +322,17 @@ def sensitivity_grid(
     params = inputs.params
     gdp = None if params.gdp is None else params.gdp.get(t)
 
-    rows = []
-    for model in models:
+    crimis = np.empty((len(models), len(pops), len(rr_values)))
+    criuis = np.empty((len(models), len(pops), len(rfs)))
+    for m, model in enumerate(models):
         kernel = partial(model_weights, model, grid, t, params)
         w_base = kernel(costs.values, ds.values, pd5_base, pd5)
         w_shocked = kernel(costs.values, ds.values, shocked_base, shocked)
         w_rescaled = kernel(rescaled_costs, ds.values, pd5_base, pd5)
-        for pop_id, pop in zip(pop_scenarios, pops):
+        for p, pop in enumerate(pops):
             counts = pop.counts[:, j]
-            (value,) = contract(counts, w_base).tolist()
-            shocked_values = contract(counts, w_shocked, len(rr_values)).tolist()
-            rescaled_values = contract(counts, w_rescaled, len(rfs)).tolist()
-            for rr_sel, v_shocked in zip(rr_values, shocked_values):
-                crimi_value = v_shocked - value
-                for rf, v_rescaled in zip(rfs, rescaled_values):
-                    result = ImpactResult(t, crimi_value, v_rescaled - value, gdp)
-                    rows.append(GridRow(model, pop_id, rr_sel, rf, result))
-    return rows
+            value = contract(counts, w_base)
+            crimis[m, p] = contract(counts, w_shocked, len(rr_values)) - value
+            criuis[m, p] = contract(counts, w_rescaled, len(rfs)) - value
+    return GridResult(tuple(models), tuple(pop_scenarios), tuple(rr_values), tuple(rfs),
+                      t, gdp, crimis, criuis)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import COHORT_WIDTH, CohortGrid
 from .expenditure import CostProfile, DSRatioProfile, ExpenditurePath, ExpenditureShares
-from .impact import GridRow
+from .impact import GridResult, GridRow, gdp_share_pct
 from .population import MortalityTable, PopulationPath
 from .relative_risk import (
     SERVICES,
@@ -36,6 +36,7 @@ __all__ = [
     "population_csv_text",
     "mortality_csv_text",
     "impact_csv_text",
+    "impact_columns",
     "expenditure_csv_text",
     "series_csv_text",
     "load_exogenous_path",
@@ -457,28 +458,47 @@ def read_gdp_csv(path) -> dict[int, float]:
 
 # ------------------------------------------------------------ impact results
 
-def impact_csv_text(rows: Iterable[GridRow]) -> str:
+def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> list[list]:
+    """The :data:`IMPACT_COLUMNS` of every cell, column by column, in row order.
+
+    ``number`` maps the RFs, ``crimi`` and ``criui`` once per distinct
+    value, and ``cri`` and its GDP share once per cell; RR selectors are
+    :func:`selector_text`. Rows outside a :class:`GridResult` are taken as
+    one-cell grids.
+    """
+    if not isinstance(rows, GridResult):
+        grids = [GridResult((r.model,), (r.pop_scenario,), (r.rr_selector,), (r.rf,), r.result.date,
+                            r.result.gdp, [[[r.result.crimi]]], [[[r.result.criui]]]) for r in rows]
+        columns = [impact_columns(grid, number) for grid in grids]
+        return [[cell for part in column for cell in part] for column in zip(*columns)]
+    m, p, r, f = shape = rows.shape
+    cri = rows.cri
+
+    def per_cell(values, at):  # ``values`` shaped ``at``, repeated along the other axes
+        return np.broadcast_to(np.array(values, dtype=object).reshape(at), shape).ravel().tolist()
+
+    def numbers(values):
+        return list(map(number, np.ravel(values).tolist()))
+
+    return [
+        per_cell(rows.models, (m, 1, 1, 1)),
+        per_cell(rows.pop_scenarios, (1, p, 1, 1)),
+        per_cell([selector_text(v) for v in rows.rr_values], (1, 1, r, 1)),
+        per_cell(numbers(rows.rfs), (1, 1, 1, f)),
+        per_cell(numbers(rows.crimi), (m, p, r, 1)),
+        per_cell(numbers(rows.criui), (m, p, 1, f)),
+        numbers(cri),
+        numbers(gdp_share_pct(cri, rows.gdp)),
+    ]
+
+
+def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
     lines = [",".join(IMPACT_COLUMNS)]
-    for r in rows:
-        res = r.result
-        lines.append(
-            ",".join(
-                (
-                    r.model,
-                    r.pop_scenario,
-                    selector_text(r.rr_selector),
-                    fmt_value(r.rf),
-                    fmt_value(res.crimi),
-                    fmt_value(res.criui),
-                    fmt_value(res.cri),
-                    fmt_value(res.cri_gdp_pct),
-                )
-            )
-        )
+    lines += map(",".join, zip(*impact_columns(rows)))
     return "\n".join(lines) + "\n"
 
 
-def write_impact_csv(rows: Iterable[GridRow], out) -> None:
+def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:
     Path(out).write_text(impact_csv_text(rows))
 
 

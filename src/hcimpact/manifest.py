@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from . import io
 from .errors import ValidationError
 from .expenditure import ModelParameters
 from .impact import ScenarioConfig, ScenarioInputs, parse_selector
 from .population import MortalityTable, PopulationPath
-from .relative_risk import LaborMarketState, build_rr_envelope
+from .relative_risk import ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
 
 __all__ = ["RunManifest", "parse_manifest"]
 
@@ -35,6 +36,18 @@ IMPACT_DATA_KEYS = (
     "data.gdp",
 )
 
+#: Every key a subcommand reads. The subcommands share one manifest, so a
+#: key that none of them reads is a typo, and :func:`parse_manifest` rejects it.
+KNOWN_KEYS = frozenset(IMPACT_DATA_KEYS + (
+    "scenario.population", "scenario.model", "scenario.cost_profile", "scenario.ds_scenario",
+    "scenario.rr_selection", "scenario.rf_selection", "scenario.shock_date",
+    "scenario.unemployment_rate", "scenario.envelope_policy",
+    "params.utilization", "params.health_improvement_rate",
+    "project.scenarios", "project.birth_rates", "project.initial", "project.horizon",
+    "sensitivity.models", "sensitivity.populations", "sensitivity.rr_values",
+    "sensitivity.rf_values", "report.files",
+))
+
 
 @dataclass
 class RunManifest:
@@ -44,6 +57,9 @@ class RunManifest:
     values: dict[str, str] = field(default_factory=dict)
 
     # -------------------------------------------------------------- accessors
+
+    def fail(self, key: str, problem: str) -> NoReturn:
+        raise ValidationError(f"{self.source}: key {key!r}: {problem}") from None
 
     def require(self, key: str) -> str:
         if key not in self.values:
@@ -58,14 +74,13 @@ class RunManifest:
         try:
             return kind(raw)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"{self.source}: key {key!r}: {raw!r} is not {what}") from None
+            self.fail(key, f"{raw!r} is not {'an integer' if kind is int else 'a number'}")
 
     def nonnegative(self, key: str, default: float) -> float:
         """The value of ``key`` as a finite number >= 0, or ``default``."""
         v = self.number(key, default)
         if not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"{self.source}: key {key!r}: must be finite and >= 0, got {v}")
+            self.fail(key, f"must be finite and >= 0, got {v}")
         return v
 
     def get_list(self, key: str) -> list[str]:
@@ -83,10 +98,16 @@ class RunManifest:
 
     def risk_settings(self) -> tuple[LaborMarketState, str]:
         """Unemployment rate and envelope policy: applied when risks are loaded."""
-        return (
-            LaborMarketState(self.number("scenario.unemployment_rate", 0.10)),
-            self.values.get("scenario.envelope_policy", "population_level"),
-        )
+        rate = self.number("scenario.unemployment_rate", 0.10)
+        try:
+            labor = LaborMarketState(rate)
+        except ValidationError as exc:
+            self.fail("scenario.unemployment_rate", str(exc))
+        policy = self.values.get("scenario.envelope_policy", "population_level")
+        if policy not in ENVELOPE_POLICIES:
+            valid = ", ".join(ENVELOPE_POLICIES)
+            self.fail("scenario.envelope_policy", f"unknown policy {policy!r}; valid: {valid}")
+        return labor, policy
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(
@@ -179,6 +200,12 @@ def parse_manifest(path) -> RunManifest:
         value = value.strip()
         if not key:
             raise ValidationError(f"{source}:{lineno}: empty key")
+        if key not in KNOWN_KEYS:
+            import difflib  # only on this error path, so start-up does not pay for it
+
+            close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValidationError(f"{source}:{lineno}: unknown key {key!r}{hint}")
         if key in values:
             raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = value

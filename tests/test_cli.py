@@ -1,4 +1,5 @@
 import errno
+import re
 import shutil
 import subprocess
 import sys
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from hcimpact import cli
+from hcimpact import cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
+from hcimpact.manifest import KNOWN_KEYS, parse_manifest
+from hcimpact.report import render_table
 
 from conftest import DATA_DIR
 
@@ -462,3 +465,61 @@ class TestAtomicOutput:
         assert "Is a directory" in capsys.readouterr().err
         assert (out / "impact.csv").read_bytes() == before
         assert sorted(f.name for f in out.iterdir()) == ["expenditure.csv", "impact.csv"]
+
+
+class TestManifestKeys:
+    def test_misspelt_key_is_rejected_with_its_line(self, tmp_path, capsys):
+        manifest = write_mini_bundle(tmp_path / "b")
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + ["scenario.unemployement_rate = 0.5"]) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:{len(lines) + 1}: unknown key 'scenario.unemployement_rate'" in err
+        assert "did you mean 'scenario.unemployment_rate'?" in err
+        assert not out.exists()
+
+    def test_every_key_the_engine_reads_is_known(self):
+        src = Path(cli.__file__).parent
+        pattern = r'"((?:data|scenario|params|project|sensitivity|report)\.[a-z_]+)"'
+        read = {key for f in src.glob("*.py") for key in re.findall(pattern, f.read_text())}
+        assert read and read <= KNOWN_KEYS
+        assert KNOWN_KEYS <= {line.partition(" =")[0]
+                              for line in (DATA_DIR / "manifest.txt").read_text().splitlines()
+                              } | {"report.files"}
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("scenario.unemployment_rate", "2", "unemployment rate must be in [0, 1], got 2.0"),
+        ("scenario.unemployment_rate", "nan", "unemployment rate must be in [0, 1], got nan"),
+        ("scenario.envelope_policy", "bogus",
+         "unknown policy 'bogus'; valid: population_level, hull"),
+    ])
+    def test_bad_risk_setting_names_manifest_and_key(self, tmp_path, capsys, key, value, problem):
+        manifest = write_mini_bundle(tmp_path / "b")
+        lines = [ln for ln in manifest.read_text().splitlines() if not ln.startswith(key)]
+        manifest.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        (tmp_path / "b" / "population.csv").unlink()  # checked before any data file is read
+        out = tmp_path / "out"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert f"error: {manifest}: key {key!r}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSensitivityTable:
+    def test_table_cells_come_from_every_grid_row(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        manifest = data_dir / "manifest.txt"
+        assert run_cli("sensitivity", "--manifest", manifest, "--out", out,
+                       "--format", "table") == 0
+        m = parse_manifest(manifest)
+        axes = [[parse_selector(s) for s in m.get_list(f"sensitivity.{k}")]
+                for k in ("rr_values", "rf_values")]
+        axes += [m.get_list("sensitivity.models"), m.get_list("sensitivity.populations")]
+        rows = sensitivity_grid(m.scenario_config(), m.load_inputs(), *axes)
+        cells = [[r.model, r.pop_scenario, io.selector_text(r.rr_selector), r.rf,
+                  r.result.crimi, r.result.criui, r.result.cri, r.result.cri_gdp_pct]
+                 for r in rows]
+        expected = render_table(list(io.IMPACT_COLUMNS), cells)
+        assert (out / "sensitivity.txt").read_text() == expected
+        lo = min(rows, key=lambda r: r.result.cri).result
+        assert f"CRI min = {io.fmt_value(lo.cri)} EUR millions" in capsys.readouterr().out
