@@ -86,6 +86,10 @@ def _build_project(manifest: RunManifest, fmt: str):
             f"{', '.join(sorted(populations))}"
         )
     horizon = manifest.number("project.horizon", mortality.grid.dates[-1], int)
+    try:
+        mortality.grid.date_index(horizon)
+    except ValidationError as exc:
+        manifest.fail("project.horizon", str(exc))
 
     files: dict[str, str] = {}
     sources: dict[str, str] = {}

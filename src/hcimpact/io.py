@@ -12,6 +12,7 @@ import csv
 import math
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -123,10 +124,12 @@ def open_text(path):
 
 @contextmanager
 def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Open a CSV file and validate its header; yields ``(header, reader)``.
+    """Open a CSV file and validate its header; yields ``(header, reader, fh)``,
+    ``fh`` the open file positioned after the header.
 
-    The header (cells stripped) must name every ``required`` column, no
-    column twice and none outside ``required`` and ``optional``.
+    The header (cells stripped) must have no empty cell, name every
+    ``required`` column, no column twice and none outside ``required`` and
+    ``optional``.
     """
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -134,6 +137,8 @@ def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
         if first is None:
             _fail(path, "empty file, expected a header row")
         header = [h.strip() for h in first]
+        if "" in header:
+            _fail(path, f"header column {header.index('') + 1} is empty")
         duplicate = sorted({h for h in header if header.count(h) > 1})
         if duplicate:
             _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
@@ -143,7 +148,7 @@ def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
         unknown = [c for c in header if c not in (*required, *optional)]
         if unknown:
             _fail(path, f"unknown column(s): {', '.join(unknown)}")
-        yield header, reader
+        yield header, reader, fh
 
 
 def _row_cells(path, line: int, row: list[str], width: int) -> list[str] | None:
@@ -156,7 +161,7 @@ def _row_cells(path, line: int, row: list[str], width: int) -> list[str] | None:
 
 def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
     """Yield ``(line_number, {column: cell})`` for each non-blank row."""
-    with _open_table(path, required, optional) as (header, reader):
+    with _open_table(path, required, optional) as (header, reader, _):
         for row in reader:
             cells = _row_cells(path, reader.line_num, row, len(header))
             if cells is not None:
@@ -196,6 +201,11 @@ def _read_records(path, parsers):
         yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
+#: Data lines the columnar pass of :func:`_read_cohort_table` splits at once.
+#: A block, not the whole file, keeps the pass's memory flat in the file size.
+_BLOCK_LINES = 4096
+
+
 def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None, unused=()):
     """The one reader of cohort-indexed tables: the grid and ``{id: values}``.
 
@@ -209,7 +219,122 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     Columns in ``unused`` are optional numbers that are validated but not
     kept.
 
-    Each row is read by position in one loop. ``int`` and ``float`` accept
+    A file is read by :func:`_read_cohort_blocks` when that columnar pass
+    accepts it, and otherwise again from the start by the row loop of
+    :func:`_read_cohort_rows`, which gives the same result or the message
+    naming the first bad line.
+    """
+    columns = ((key,) if key else ()) + (("date",) if grid is None else ()) + (
+        "cohort_lo", "cohort_hi", value_column)
+    with _open_table(path, columns, unused) as (header, _, fh):
+        try:
+            found = _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused)
+        except ValueError:  # a cell that does not convert, or a byte that is not UTF-8
+            found = None
+    if found is not None:
+        return found
+    return _read_cohort_rows(path, value_column, bounds, problem, key, grid, unused)
+
+
+def _index_cells(cells: list[str], index: dict[str, int]) -> np.ndarray:
+    """The index of each cell in ``index``, which numbers new cells from ``len(index)``."""
+    for cell in dict.fromkeys(cells):
+        index.setdefault(cell, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
+def _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused):
+    """The columnar pass of :func:`_read_cohort_table` over the data lines of
+    ``fh``: its result, or None for a file the row loop must read.
+
+    Lines are split by position in blocks of :data:`_BLOCK_LINES`. The id,
+    cohort and date cells are numbered once per distinct text, ``float``
+    converts every value, and the checks run on whole columns after the
+    last block. The pass accepts only what ``csv`` splits like a plain
+    ``str.split``: a quote, CR or NUL, a row of another width or a line
+    longer than a ``csv`` field may be returns None, as does any failed
+    check. A cell ``int`` or ``float`` rejects raises ``ValueError``.
+    """
+    dated = grid is None
+    width = len(header)
+    step = width + 1  # the cells of a row, then the "\n" cell that ends it
+    at = {column: i for i, column in enumerate(header)}
+    numbered = ((key,) if key else ()) + (("date",) if dated else ()) + ("cohort_lo",)
+    index: dict[str, dict[str, int]] = {column: {} for column in numbered}
+    blocks: dict[str, list] = {column: [] for column in (*numbered, value_column)}
+    bins: set[tuple[str, str]] = set()  # (cohort_lo, cohort_hi) cells
+    checked: set[str] = set()  # cells of ``unused`` columns that are blank or finite numbers
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, _BLOCK_LINES)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text or "\0" in text or (
+                len(text) > limit and max(map(len, lines)) > limit):
+            return None
+        rows = list(filter(None, text.split("\n")))  # the row loop skips an empty line
+        if not rows:
+            continue
+        n = len(rows)
+        cells = ",\n,".join(rows).split(",")
+        if len(cells) != n * step - 1 or cells[width::step].count("\n") != n - 1:
+            return None
+        for column in numbered:
+            blocks[column].append(_index_cells(cells[at[column]::step], index[column]))
+        bins.update(zip(cells[at["cohort_lo"]::step], cells[at["cohort_hi"]::step]))
+        blocks[value_column].append(
+            np.fromiter(map(float, cells[at[value_column]::step]), float, n))
+        for column in unused:
+            if column in at:
+                for cell in set(cells[at[column]::step]) - checked:
+                    if (number := cell.strip()) and not math.isfinite(float(number)):
+                        return None
+                    checked.add(cell)
+    if not blocks[value_column]:
+        return None
+    per_row = {column: np.concatenate(parts) for column, parts in blocks.items()}
+    if key:
+        ids = [cell.strip() for cell in index[key]]
+        if "" in ids:
+            return None
+        tables = {table_id: i for i, table_id in enumerate(dict.fromkeys(ids))}
+        table = np.array([tables[table_id] for table_id in ids], np.intp)[per_row[key]]
+    else:
+        tables, table = {None: 0}, 0
+    lo_of = {cell: int(cell) for cell in index["cohort_lo"]}
+    if any(int(hi) - lo_of[lo] != COHORT_WIDTH - 1 for lo, hi in bins):
+        return None
+    if dated:
+        date_of = [int(cell) for cell in index["date"]]
+        try:
+            grid = CohortGrid(tuple(sorted(set(lo_of.values()))), tuple(sorted(set(date_of))))
+        except ValidationError:
+            return None
+        date_at = {d: j for j, d in enumerate(grid.dates)}
+        date = np.array([date_at[d] for d in date_of], np.intp)[per_row["date"]]
+    else:
+        date = 0
+    cohort_at = {lo: i for i, lo in enumerate(grid.cohort_starts)}
+    if not cohort_at.keys() >= set(lo_of.values()):
+        return None
+    cohort = np.array([cohort_at[lo] for lo in lo_of.values()], np.intp)[per_row["cohort_lo"]]
+    low, high = bounds
+    value = per_row[value_column]
+    if not np.all((value >= low) & (value <= high)):
+        return None
+    n_dates = grid.n_dates if dated else 1
+    cell = (table * grid.n_cohorts + cohort) * n_dates + date
+    size = len(tables) * grid.n_cohorts * n_dates
+    if not np.all(np.bincount(cell, minlength=size) == 1):  # a missing or duplicate cell
+        return None
+    values = np.empty(size)
+    values[cell] = value
+    shape = (len(tables), grid.n_cohorts) + ((n_dates,) if dated else ())
+    return grid, dict(zip(tables, values.reshape(shape)))
+
+
+def _read_cohort_rows(path, value_column, bounds, problem, key=None, grid=None, unused=()):
+    """:func:`_read_cohort_table` as one loop over the rows, for any file.
+
+    Each row is read by position. ``int`` and ``float`` accept
     surrounding whitespace, so only the id cell is stripped; a number cell
     that does not convert is stripped and parsed again, which names it in
     the message or, for whitespace ``float`` keeps (such as U+001C),
@@ -222,7 +347,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
         "cohort_lo", "cohort_hi", value_column)
     low, high = bounds
     tables: dict[str | None, dict] = {}  # id: {(cohort_lo, date): value}
-    with _open_table(path, columns, unused) as (header, reader):
+    with _open_table(path, columns, unused) as (header, reader, _):
         width = len(header)
         at = {column: i for i, column in enumerate(header)}
         id_at = at.get(key)

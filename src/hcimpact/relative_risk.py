@@ -15,7 +15,8 @@ named policy decides which source wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +74,16 @@ class RelativeRisk:
             raise ValidationError(f"relative risk must be finite and >= 0, got {self.value}")
 
 
+def _dilute(rr, w: float):
+    """``1 + w * (rr - 1)`` of a risk or an array of risks, at unemployment rate ``w``.
+
+    At ``w == 1`` everyone is unemployed and the population-level risk IS
+    the study risk; the formula would lose tiny ``rr`` to cancellation in
+    ``rr - 1``.
+    """
+    return rr if w == 1.0 else 1.0 + w * (rr - 1.0)
+
+
 def dilute_relative_risk(rr: RelativeRisk, labor: LaborMarketState) -> RelativeRisk:
     """Spread an unemployed-only relative risk over the working-age population.
 
@@ -81,11 +92,7 @@ def dilute_relative_risk(rr: RelativeRisk, labor: LaborMarketState) -> RelativeR
     """
     if rr.diluted:
         raise ValidationError("relative risk is already diluted")
-    if labor.unemployment_rate == 1.0:
-        # everyone unemployed: the population-level risk IS the study risk;
-        # the formula below would lose tiny rr to cancellation in (rr - 1)
-        return RelativeRisk(rr.value, diluted=True)
-    return RelativeRisk(1.0 + labor.unemployment_rate * (rr.value - 1.0), diluted=True)
+    return RelativeRisk(_dilute(rr.value, labor.unemployment_rate), diluted=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +234,6 @@ class StudyRecord:
             )
 
 
-def _normalize(rec: StudyRecord, labor: LaborMarketState) -> StudyRecord:
-    if rec.diluted:
-        return rec
-    lo = dilute_relative_risk(RelativeRisk(rec.rr_lower), labor).value
-    hi = dilute_relative_risk(RelativeRisk(rec.rr_upper), labor).value
-    return replace(rec, rr_lower=lo, rr_upper=hi)
-
-
 def build_rr_envelope(
     records: list[StudyRecord],
     labor: LaborMarketState,
@@ -258,33 +257,43 @@ def build_rr_envelope(
         )
     if not records:
         raise ValidationError("empty record set")
-    normalized = [(_normalize(r, labor), r.diluted) for r in records]
+    starts, w = grid.cohort_starts, labor.unemployment_rate
+    # [first, last) are the cohorts whose start age a record covers; bisect
+    # compares ages of any size
+    first = np.array([bisect_left(starts, r.age_lo) for r in records])
+    last = np.array([bisect_right(starts, r.age_hi) for r in records])
+    diluted = np.array([bool(r.diluted) for r in records])
+    cohort = np.arange(grid.n_cohorts)[:, None]
+    covering = (first <= cohort) & (cohort < last)  # (cohorts, records)
+    rr = np.array([(r.rr_lower, r.rr_upper) for r in records], dtype=float)
+    rr = np.where(diluted[:, None], rr, _dilute(rr, w))
+    lower, upper = (np.broadcast_to(bound, covering.shape) for bound in rr.T)
 
-    lower = np.empty(grid.n_cohorts)
-    upper = np.empty(grid.n_cohorts)
-    for i, start in enumerate(grid.cohort_starts):
-        covering = [(r, pop) for r, pop in normalized if r.age_lo <= start <= r.age_hi]
-        if not covering:
-            raise ValidationError(f"no study record covers cohort {grid.cohort_label(i)}")
-        lo = max(r.rr_lower for r, _ in covering)
-        hi = min(r.rr_upper for r, _ in covering)
-        if lo > hi:  # disjoint source intervals
-            if policy == "hull":
-                lo = min(r.rr_lower for r, _ in covering)
-                hi = max(r.rr_upper for r, _ in covering)
-            else:
-                pop_level = [r for r, pop in covering if pop]
-                if not pop_level:
-                    raise ValidationError(
-                        f"disjoint intervals for cohort {grid.cohort_label(i)} and no "
-                        "population-level record to fall back on"
-                    )
-                lo = max(r.rr_lower for r in pop_level)
-                hi = min(r.rr_upper for r in pop_level)
-                if lo > hi:
-                    raise ValidationError(
-                        f"population-level records disagree for cohort {grid.cohort_label(i)}"
-                    )
-        lower[i] = lo
-        upper[i] = hi
-    return MortalityRRTable(grid=grid, lower=lower, upper=upper)
+    def intersection(mask):  # max of lowers, min of uppers over each cohort's records
+        return (np.max(lower, axis=1, initial=-np.inf, where=mask),
+                np.min(upper, axis=1, initial=np.inf, where=mask))
+
+    lo, hi = intersection(covering)
+    disjoint = lo > hi  # disjoint source intervals
+    uncovered = ~covering.any(axis=1)
+    if policy == "hull":
+        lo = np.where(disjoint, np.min(lower, axis=1, initial=np.inf, where=covering), lo)
+        hi = np.where(disjoint, np.max(upper, axis=1, initial=-np.inf, where=covering), hi)
+        failed = uncovered
+    else:
+        pop_level = covering & diluted
+        pop_lo, pop_hi = intersection(pop_level)
+        lo, hi = np.where(disjoint, pop_lo, lo), np.where(disjoint, pop_hi, hi)
+        failed = uncovered | (disjoint & ~(pop_level.any(axis=1) & (pop_lo <= pop_hi)))
+    if failed.any():
+        i = int(failed.argmax())  # the first failing cohort, as a loop over them finds it
+        label = grid.cohort_label(i)
+        if uncovered[i]:
+            raise ValidationError(f"no study record covers cohort {label}")
+        if not pop_level[i].any():
+            raise ValidationError(
+                f"disjoint intervals for cohort {label} and no "
+                "population-level record to fall back on"
+            )
+        raise ValidationError(f"population-level records disagree for cohort {label}")
+    return MortalityRRTable(grid=grid, lower=lo, upper=hi)

@@ -523,3 +523,14 @@ class TestSensitivityTable:
         assert (out / "sensitivity.txt").read_text() == expected
         lo = min(rows, key=lambda r: r.result.cri).result
         assert f"CRI min = {io.fmt_value(lo.cri)} EUR millions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("horizon", ["2100", "2012"])
+def test_project_horizon_off_the_grid_names_manifest_and_key(tmp_path, capsys, horizon):
+    manifest = write_mini_bundle(tmp_path / "b")
+    manifest.write_text(manifest.read_text() + f"project.horizon = {horizon}\n")
+    out = tmp_path / "out"
+    assert run_cli("project", "--manifest", manifest, "--out", out) == 2
+    assert (f"error: {manifest}: key 'project.horizon': date {horizon} is not on the "
+            "projection grid") in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from hcimpact import (
 from hcimpact import io
 from hcimpact.grid import COHORT_WIDTH, CohortGrid
 
-from conftest import grid_of
+from conftest import REPO_ROOT, grid_of
 
 
 class TestPopulationRoundTrip:
@@ -509,8 +510,8 @@ _ROW_EDITS = ("keep",) * 6 + (
 
 
 @st.composite
-def _cohort_file(draw, kind):
-    """A cohort table file, valid or malformed, as bytes."""
+def _cohort_file(draw, kind, edits=_ROW_EDITS):
+    """A cohort table file, valid or malformed, as bytes; each row takes one of ``edits``."""
     _, _, key, dated, value_column, optional, values = _COHORT_FILES[kind]
     header = ([key] if key else []) + (["date"] if dated else []) + [
         "cohort_lo", "cohort_hi", value_column]
@@ -533,7 +534,7 @@ def _cohort_file(draw, kind):
                         ("80.1", " 80 ", "", " ", "old", "nan", "1e400"))),
                 }
                 row = [cell[c] for c in header]
-                edit = draw(st.sampled_from(_ROW_EDITS))
+                edit = draw(st.sampled_from(edits))
                 if edit == "pad":
                     row = [f" {c}\t" for c in row]
                 elif edit == "quote":
@@ -637,3 +638,120 @@ def test_empty_id_on_the_first_data_row_is_rejected(tmp_path, first_id):
     )
     with pytest.raises(ValidationError, match=r"costs\.csv:2: empty profile id$"):
         io.read_cost_profiles_csv(costs, grid_of(2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@pytest.mark.parametrize("commas", [1, 2])
+def test_empty_header_cell_is_named(tmp_path, name, commas):
+    reader, header = _READERS[name]
+    f = tmp_path / "input.csv"
+    f.write_text(header + "," * commas + "\n")
+    with pytest.raises(ValidationError) as exc:
+        reader(f)
+    assert str(exc.value) == f"{f}: header column {header.count(',') + 2} is empty"
+
+
+# The columnar pass of the cohort reader hands irregular files to the row
+# loop; both must agree with the reference on every file. ``_regular_file``
+# draws any file or one whose rows only take ``edits``, which the pass reads
+# itself unless a cell or a check fails.
+
+def _regular_file(kind, edits=("keep", "pad")):
+    return st.one_of(_cohort_file(kind), _cohort_file(kind, edits))
+
+
+@pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cohort_reader_matches_reference_with_crlf(tmp_path_factory, kind, data):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path_factory.mktemp("cohort") / "table.csv"
+    f.write_bytes(data.draw(_regular_file(kind)).replace(b"\n", b"\r\n"))
+    _assert_same_outcome(reader, reference, f)
+
+
+@pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cohort_reader_matches_reference_with_blank_lines(tmp_path_factory, kind, data):
+    reader, reference = _COHORT_FILES[kind][:2]
+    header, *rows = data.draw(_regular_file(kind, ("keep", "pad", "blank"))).split(b"\n")
+    for _ in range(data.draw(st.integers(1, 4))):
+        rows.insert(data.draw(st.integers(0, len(rows))), b"")
+    f = tmp_path_factory.mktemp("cohort") / "table.csv"
+    f.write_bytes(b"\n".join([header, *rows]) + b"\n" * data.draw(st.integers(0, 3)))
+    _assert_same_outcome(reader, reference, f)
+
+
+@pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cohort_reader_matches_reference_across_blocks(tmp_path_factory, kind, data):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path_factory.mktemp("cohort") / "table.csv"
+    f.write_bytes(data.draw(_regular_file(kind)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK_LINES", 2)
+        _assert_same_outcome(reader, reference, f)
+
+
+# Files the columnar pass would misread without its checks: csv removes the
+# quotes, a lone CR ends a line, a NUL (which csv rejects before Python
+# 3.11), a cell over the csv field limit, and a cost profile cohort beyond
+# the grid (the row loop ignores it).
+_SPLIT_FILES = {
+    "population": (
+        '"X",2010,0,4,1\n"X",2010,5,9,2\n',
+        "X\r,2010,0,4,1\nX\r,2010,5,9,2\n",
+        "X\0,2010,0,4,1\nX\0,2010,5,9,2\n",
+        "".join(f"{'Y' * (csv.field_size_limit() + 1)},2010,{lo},{lo + 4},1\n" for lo in (0, 5)),
+    ),
+    "cost_profiles": ("A,0,4,1\nA,5,9,2\nA,10,14,3\nA,15,19,4\n",),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, rows", [(kind, rows) for kind, files in _SPLIT_FILES.items() for rows in files]
+)
+def test_cohort_reader_matches_reference_on_files_csv_splits(tmp_path, kind, rows):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path / "table.csv"
+    f.write_bytes(f"{_EDGE_HEADERS[kind]}\n{rows}".encode())
+    _assert_same_outcome(reader, reference, f)
+
+
+def _row_loop_not_used(*args, **kwargs):
+    raise AssertionError("the row loop read a regular file")
+
+
+def test_columnar_pass_serves_regular_files(tmp_path, monkeypatch, data_dir):
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "benchmarks" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "INGEST_SCENARIOS", 3)
+    gen.write_ingest_inputs(0, tmp_path)
+    with monkeypatch.context() as mp:  # the row loop's result
+        mp.setattr(io, "_read_cohort_blocks", lambda *args: None)
+        expected = {folder: [read(folder) for read in _COHORT_READS]
+                    for folder in (data_dir, tmp_path)}
+    monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
+    monkeypatch.setattr(io, "_BLOCK_LINES", 7)  # several blocks per file, one row split off
+    for folder, want in expected.items():
+        for read, (grid, tables) in zip(_COHORT_READS, want):
+            got_grid, got_tables = read(folder)
+            assert got_grid == grid and list(got_tables) == list(tables)
+            assert all(np.array_equal(got_tables[k], tables[k]) for k in tables)
+
+
+def _folder_grid(folder):
+    return io.read_mortality_csv(folder / "mortality.csv").grid
+
+
+_COHORT_READS = (  # each cohort file of an input folder, as (grid, {id: values})
+    lambda folder: _population(folder / "population.csv"),
+    lambda folder: _mortality(folder / "mortality.csv"),
+    lambda folder: (_folder_grid(folder), {k: p.values for k, p in io.read_cost_profiles_csv(
+        folder / "cost_profile.csv", _folder_grid(folder)).items()}),
+    lambda folder: (_folder_grid(folder), {k: p.values for k, p in io.read_ds_ratios_csv(
+        folder / "ds_ratio.csv", _folder_grid(folder)).items()}),
+)

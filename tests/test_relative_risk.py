@@ -198,3 +198,81 @@ class TestEnvelope:
         records = [StudyRecord(0, 4, 1.0, 1.1, diluted=True)]
         with pytest.raises(ValidationError, match="envelope policy"):
             build_rr_envelope(records, LaborMarketState(0.1), grid_of(1, 1), policy="newest")
+
+
+# The envelope against the per-cohort loop it replaced. ``_reference_envelope``
+# is a copy of that loop, with the dilution formula as it was written there,
+# and lives only here, as the reference.
+
+def _reference_dilute(rr, w):
+    return rr if w == 1.0 else 1.0 + w * (rr - 1.0)
+
+
+def _reference_envelope(records, labor, grid, policy="population_level"):
+    if policy not in ("population_level", "hull"):
+        raise ValidationError(
+            f"unknown envelope policy {policy!r}; valid: population_level, hull"
+        )
+    if not records:
+        raise ValidationError("empty record set")
+    w = labor.unemployment_rate
+    normalized = [
+        (r.age_lo, r.age_hi, r.rr_lower, r.rr_upper, True) if r.diluted else
+        (r.age_lo, r.age_hi, _reference_dilute(r.rr_lower, w), _reference_dilute(r.rr_upper, w),
+         False)
+        for r in records
+    ]
+    lower = np.empty(grid.n_cohorts)
+    upper = np.empty(grid.n_cohorts)
+    for i, start in enumerate(grid.cohort_starts):
+        covering = [r for r in normalized if r[0] <= start <= r[1]]
+        if not covering:
+            raise ValidationError(f"no study record covers cohort {grid.cohort_label(i)}")
+        lo = max(r[2] for r in covering)
+        hi = min(r[3] for r in covering)
+        if lo > hi:
+            if policy == "hull":
+                lo = min(r[2] for r in covering)
+                hi = max(r[3] for r in covering)
+            else:
+                pop_level = [r for r in covering if r[4]]
+                if not pop_level:
+                    raise ValidationError(
+                        f"disjoint intervals for cohort {grid.cohort_label(i)} and no "
+                        "population-level record to fall back on"
+                    )
+                lo = max(r[2] for r in pop_level)
+                hi = min(r[3] for r in pop_level)
+                if lo > hi:
+                    raise ValidationError(
+                        f"population-level records disagree for cohort {grid.cohort_label(i)}"
+                    )
+        lower[i] = lo
+        upper[i] = hi
+    return lower, upper
+
+
+@st.composite
+def _study_record(draw):
+    lo, hi = sorted(draw(st.lists(st.integers(-5, 40), min_size=2, max_size=2)))
+    bounds = sorted(draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2)))
+    return StudyRecord(lo, hi, *bounds, diluted=draw(st.booleans()))
+
+
+@given(
+    records=st.lists(_study_record(), max_size=8),
+    w=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+    policy=st.sampled_from(("population_level", "hull")),
+    n_cohorts=st.integers(1, 6),
+)
+def test_envelope_matches_reference(records, w, policy, n_cohorts):
+    args = records, LaborMarketState(w), grid_of(n_cohorts, 1), policy
+    try:
+        want = _reference_envelope(*args)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            build_rr_envelope(*args)
+        assert str(got.value) == str(exc)
+        return
+    table = build_rr_envelope(*args)
+    assert np.array_equal(table.lower, want[0]) and np.array_equal(table.upper, want[1])
