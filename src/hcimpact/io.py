@@ -339,13 +339,14 @@ def _read_cohort_rows(path, value_column, bounds, problem, key=None, grid=None, 
     that does not convert is stripped and parsed again, which names it in
     the message or, for whitespace ``float`` keeps (such as U+001C),
     returns its value. The checks run in a fixed order and the first that
-    fails names the row's line.
+    fails names the row's line; with a ``grid``, a cohort off it fails.
     """
     dated = grid is None
     what = key and key.removesuffix("_id")
     columns = ((key,) if key else ()) + (("date",) if dated else ()) + (
         "cohort_lo", "cohort_hi", value_column)
     low, high = bounds
+    on_grid = () if dated else frozenset(grid.cohort_starts)
     tables: dict[str | None, dict] = {}  # id: {(cohort_lo, date): value}
     with _open_table(path, columns, unused) as (header, reader, _):
         width = len(header)
@@ -381,6 +382,8 @@ def _read_cohort_rows(path, value_column, bounds, problem, key=None, grid=None, 
                 hi = _parse_int(path, line, "cohort_hi", row[hi_at].strip())
             if hi - lo != COHORT_WIDTH - 1:
                 _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+            if not dated and lo not in on_grid:
+                _fail(path, f"cohort [{lo}, {hi}] is not on the cohort grid", line)
             try:
                 value = float(row[value_at])
             except ValueError:  # ``float`` strips only ASCII whitespace
@@ -586,8 +589,9 @@ def read_gdp_csv(path) -> dict[int, float]:
 def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> list[list]:
     """The :data:`IMPACT_COLUMNS` of every cell, column by column, in row order.
 
-    ``number`` maps the RFs, ``crimi`` and ``criui`` once per distinct
-    value, and ``cri`` and its GDP share once per cell; RR selectors are
+    ``number`` maps each numeric column (the RFs, ``crimi``, ``criui``,
+    ``cri`` and its GDP share) once per distinct float64 bit pattern, so
+    ``-0.0`` and ``0.0`` stay apart; RR selectors are
     :func:`selector_text`. Rows outside a :class:`GridResult` are taken as
     one-cell grids.
     """
@@ -597,14 +601,23 @@ def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> li
         columns = [impact_columns(grid, number) for grid in grids]
         return [[cell for part in column for cell in part] for column in zip(*columns)]
     m, p, r, f = shape = rows.shape
-    cri = rows.cri
 
     def per_cell(values, at):  # ``values`` shaped ``at``, repeated along the other axes
         return np.broadcast_to(np.array(values, dtype=object).reshape(at), shape).ravel().tolist()
 
-    def numbers(values):
-        return list(map(number, np.ravel(values).tolist()))
+    def distinct(values):  # the distinct values, by bit pattern, and where each value is in them
+        bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
+        unique, inverse = np.unique(bits, return_inverse=True)
+        return unique.view(float), inverse
 
+    def spread(values, inverse):
+        return np.array(list(map(number, values.tolist())), dtype=object)[inverse].tolist()
+
+    def numbers(values):
+        return spread(*distinct(values))
+
+    # The GDP share is elementwise in one GDP, so equal CRI bits give equal share bits.
+    cri, cri_at = distinct(rows.cri)
     return [
         per_cell(rows.models, (m, 1, 1, 1)),
         per_cell(rows.pop_scenarios, (1, p, 1, 1)),
@@ -612,8 +625,8 @@ def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> li
         per_cell(numbers(rows.rfs), (1, 1, 1, f)),
         per_cell(numbers(rows.crimi), (m, p, r, 1)),
         per_cell(numbers(rows.criui), (m, p, 1, f)),
-        numbers(cri),
-        numbers(gdp_share_pct(cri, rows.gdp)),
+        spread(cri, cri_at),
+        spread(gdp_share_pct(cri, rows.gdp), cri_at),
     ]
 
 

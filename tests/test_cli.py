@@ -12,7 +12,7 @@ from hcimpact.cli import main
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
 from hcimpact.report import render_table
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 
 
 def run_cli(*args) -> int:
@@ -505,6 +505,22 @@ class TestManifestKeys:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("name, row", [("cost_profile.csv", "ARC1,100,104,1"),
+                                       ("ds_ratio.csv", "central,2,6,1")])
+def test_cohort_row_off_the_grid_exits_2_with_its_line(tmp_path, capsys, data_dir, name, row):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    table = bundle / name
+    text = table.read_text() + row + "\n"
+    table.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out) == 2
+    lo, hi = row.split(",")[1:3]
+    assert (f"error: {table}:{text.count(chr(10))}: cohort [{lo}, {hi}] is not on the "
+            "cohort grid") in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSensitivityTable:
     def test_table_cells_come_from_every_grid_row(self, tmp_path, data_dir, capsys):
         out = tmp_path / "out"
@@ -534,3 +550,24 @@ def test_project_horizon_off_the_grid_names_manifest_and_key(tmp_path, capsys, h
     assert (f"error: {manifest}: key 'project.horizon': date {horizon} is not on the "
             "projection grid") in capsys.readouterr().err
     assert not out.exists()
+
+
+_GOLDEN_CLI = REPO_ROOT / "benchmarks" / "golden" / "cli"
+# The result files ``report`` renders, as in the benchmark's ``cli`` workload.
+_REPORT_INPUTS = ("impact/impact.csv", "impact/expenditure.csv", "sensitivity/sensitivity.csv",
+                  "project/population_PopSV-1.7.csv")
+
+
+@pytest.mark.parametrize("command", ["project", "impact", "sensitivity", "report"])
+def test_outputs_equal_the_golden_files_byte_for_byte(tmp_path, data_dir, command):
+    manifest = data_dir / "manifest.txt"
+    if command == "report":
+        manifest = tmp_path / "report_manifest.txt"
+        files = ", ".join(str(_GOLDEN_CLI / rel) for rel in _REPORT_INPUTS)
+        manifest.write_text(f"report.files = {files}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--manifest", manifest, "--out", out) == 0
+    golden = sorted((_GOLDEN_CLI / command).iterdir())
+    assert golden
+    for want in golden:
+        assert (out / want.name).read_bytes() == want.read_bytes(), want.name

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -182,6 +183,71 @@ class TestGridChecks:
         grid = GridResult(*self.AXES[:5], gdp, np.zeros((1, 1, 1)), np.zeros((1, 1, 2)))
         with pytest.raises(ValidationError, match=f"GDP must be positive, got {gdp}"):
             io.impact_csv_text(grid)
+
+
+# Values that repeat across cells and columns, with both zeros: the render
+# formats each distinct bit pattern of a column once, so ``-0.0`` and ``0.0``
+# must come out as "-0" and "0".
+_POOL = (0.0, -0.0, 1.5, -1.5, 3.0, 1e-300, 5e-324, 123456.789, -2.5e7)
+
+
+@st.composite
+def _pooled_grids(draw):
+    m, p, r, f = (draw(st.integers(1, n)) for n in (2, 2, 3, 3))
+    values = st.sampled_from(_POOL)
+
+    def array(*shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+
+    rr_values = draw(st.lists(st.one_of(st.sampled_from(["lower", "upper"]), values),
+                              min_size=r, max_size=r))
+    rfs = tuple(draw(st.lists(values, min_size=f, max_size=f)))
+    gdp = draw(st.sampled_from([1.0, 3.0, 1520346.0]))
+    return GridResult(("PD", "DC")[:m], ("S0", "S1")[:p], tuple(rr_values), rfs, 2015, gdp,
+                      array(m, p, r), array(m, p, f))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestDistinctRender:
+    @given(grid=_pooled_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_csv_equals_the_per_row_render(self, grid):
+        assert io.impact_csv_text(grid).splitlines() == _reference_csv(grid).splitlines()
+
+    @given(grid=_pooled_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_table_cells_are_the_per_cell_floats(self, grid):
+        want = [[r.model, r.pop_scenario, io.selector_text(r.rr_selector), float(r.rf),
+                 float(r.result.crimi), float(r.result.criui), float(r.result.cri),
+                 float(r.result.cri_gdp_pct)] for r in grid]
+        got = [list(cells) for cells in zip(*io.impact_columns(grid, float))]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @given(grid=_pooled_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_number_runs_once_per_distinct_value_of_each_column(self, grid):
+        calls = []
+
+        def spy(v):
+            calls.append(_bits(v))
+            return io.fmt_value(v)
+
+        io.impact_columns(grid, spy)
+        # The GDP share is formatted once per distinct CRI, of which it is a function.
+        columns = [[r.rf, r.result.crimi, r.result.criui, r.result.cri, r.result.cri]
+                   for r in grid]
+        assert len(calls) == sum(len(set(map(_bits, column))) for column in zip(*columns))
+
+    def test_negative_zero_and_zero_share_a_column_apart(self):
+        grid = GridResult(("PD",), ("S0",), ("upper",), (0.0, -0.0), 2015, 2.0,
+                          np.array([[[-0.0]]]), np.array([[[0.0, -0.0]]]))
+        text = io.impact_csv_text(grid)
+        assert text.splitlines()[1:] == ["PD,S0,upper,0,-0,0,0,0", "PD,S0,upper,-0,-0,-0,-0,-0"]
+        assert text == _reference_csv(grid)
 
 
 def _bench_gen():

@@ -397,6 +397,8 @@ def _reference_cohort_table(path, value_column, rejects, key=None, grid=None, un
         hi = _reference_int(path, line, "cohort_hi", row["cohort_hi"])
         if hi - lo != COHORT_WIDTH - 1:
             _reference_fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
+        if not dated and lo not in grid.cohort_starts:
+            _reference_fail(path, f"cohort [{lo}, {hi}] is not on the cohort grid", line)
         value = _reference_float(path, line, value_column, row[value_column])
         problem = rejects(value)
         if problem:
@@ -640,6 +642,22 @@ def test_empty_id_on_the_first_data_row_is_rejected(tmp_path, first_id):
         io.read_cost_profiles_csv(costs, grid_of(2, 1))
 
 
+@pytest.mark.parametrize("read, header", [
+    (io.read_cost_profiles_csv, "profile_id,cohort_lo,cohort_hi,eur_per_capita"),
+    (io.read_ds_ratios_csv, "scenario,cohort_lo,cohort_hi,ratio"),
+])
+@pytest.mark.parametrize("off_grid, line", [("15,19", 5), ("7,11", 3)])
+def test_cohort_off_the_grid_names_its_line(tmp_path, read, header, off_grid, line):
+    rows = ["A,0,4,1", "A,5,9,2", "A,10,14,3"]
+    rows.insert(line - 2, f"A,{off_grid},4")
+    f = tmp_path / "table.csv"
+    f.write_text("\n".join([header, *rows]) + "\n")
+    lo, hi = off_grid.split(",")
+    with pytest.raises(ValidationError) as exc:
+        read(f, grid_of(3, 1))
+    assert str(exc.value) == f"{f}:{line}: cohort [{lo}, {hi}] is not on the cohort grid"
+
+
 @pytest.mark.parametrize("name", sorted(_READERS))
 @pytest.mark.parametrize("commas", [1, 2])
 def test_empty_header_cell_is_named(tmp_path, name, commas):
@@ -697,8 +715,8 @@ def test_cohort_reader_matches_reference_across_blocks(tmp_path_factory, kind, d
 
 # Files the columnar pass would misread without its checks: csv removes the
 # quotes, a lone CR ends a line, a NUL (which csv rejects before Python
-# 3.11), a cell over the csv field limit, and a cost profile cohort beyond
-# the grid (the row loop ignores it).
+# 3.11), a cell over the csv field limit, and a cost profile cohort off the
+# grid (the row loop names its line).
 _SPLIT_FILES = {
     "population": (
         '"X",2010,0,4,1\n"X",2010,5,9,2\n',
