@@ -200,16 +200,21 @@ def model_weights(
 
 
 def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarray:
-    """Expenditure, EUR millions, of one head-count column under each weight row.
+    """Expenditure, EUR millions, of head-count columns under weight rows.
 
-    ``weights`` broadcasts to ``rows`` rows, and each row is contracted by
-    the same 1-D product, so a value is bit-identical whether it is
-    computed alone or in a stack.
+    ``weights`` broadcasts to ``(..., rows, cohorts)`` and ``counts`` (one
+    column, or a stack of them shaped ``(..., 1, cohorts)``) broadcasts
+    over its leading axes; each row is multiplied by its column and summed
+    along the contiguous cohort axis. numpy sums every row in the same
+    order whatever the leading shape, so a value is bit-identical whether
+    it is computed alone or inside a stack. An overflow is reported by the
+    one finiteness check, not by a numpy warning.
     """
-    stack = np.broadcast_to(weights, (rows, counts.shape[0]))
-    values = np.array([counts @ w for w in stack]) * _TO_EUR_MILLIONS
+    stack = np.broadcast_to(weights, weights.shape[:-2] + (rows, counts.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (stack * counts).sum(axis=-1) * _TO_EUR_MILLIONS
     if not np.all(np.isfinite(values)):
-        raise ValidationError("expenditure must be finite and >= 0 at every date")
+        raise ValidationError("expenditure must be finite at every date")
     return values
 
 

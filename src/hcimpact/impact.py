@@ -15,7 +15,10 @@ perturbation is trivial.
 
 There is one evaluation path, :func:`sensitivity_grid`, and it evaluates
 the shock date only; a single scenario (:func:`cri`, :func:`crimi`,
-:func:`criui`) is its one-cell case. The grid comes back as a
+:func:`criui`) is its one-cell case. Every model is linear in the cost
+profile and in the population, so each value is the contraction of one
+head-count column with one weight row, and the whole grid is three
+contractions of stacked rows (base, shocked, rescaled). The grid comes back as a
 :class:`GridResult`: ``crimi`` depends only on (model, population, RR)
 and ``criui`` only on (model, population, RF), so it keeps those two
 arrays plus the axes, and builds each cell's :class:`GridRow` on demand.
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -129,7 +131,8 @@ def _resolve(mapping: Mapping[str, object], key: str, what: str):
 def _rr_vector(selection: str | float, inputs: ScenarioInputs) -> np.ndarray:
     if isinstance(selection, str):
         return inputs.rr_mortality.select(selection)
-    return MortalityRRTable.uniform(inputs.grid, selection).select("lower")
+    return frozen_array(np.full(inputs.grid.n_cohorts, float(selection)),
+                        (inputs.grid.n_cohorts,), "lower bounds")
 
 
 def resolve_rf(selection: str | float, inputs: ScenarioInputs) -> float:
@@ -287,13 +290,14 @@ def sensitivity_grid(
     axis-coordinate order (model, population, mortality RR, RF).
 
     Every input is validated once per grid and only the shock date is
-    evaluated. Per model, :func:`~hcimpact.expenditure.model_weights`
-    gives the base weights, the shocked ones for all RR selectors as one
-    ``(n_rr, cohorts)`` stack, and the rescaled ones for all RF-scaled
-    cost rows as one ``(n_rf, cohorts)`` stack. Per population each row
-    is contracted once, and each ``crimi`` and ``criui`` entry is one
-    subtraction; the rescaled value is a real evaluation, not
-    ``(RF - 1) * base``.
+    evaluated, as one array program. :func:`~hcimpact.expenditure.model_weights`
+    gives, per model, the base weight row, the shocked rows of all RR
+    selectors and the rescaled rows of all RF-scaled cost rows; each set
+    is stacked as ``(models, 1, k, cohorts)``. The head-counts at the
+    shock date are stacked as ``(pops, 1, cohorts)``, so three
+    :func:`~hcimpact.expenditure.contract` calls give every value as
+    ``(models, pops, k)``, and ``crimi`` and ``criui`` are one subtraction
+    each. The rescaled value is a real evaluation, not ``(RF - 1) * base``.
     """
     for name, axis in (
         ("models", models),
@@ -322,17 +326,15 @@ def sensitivity_grid(
     params = inputs.params
     gdp = None if params.gdp is None else params.gdp.get(t)
 
-    crimis = np.empty((len(models), len(pops), len(rr_values)))
-    criuis = np.empty((len(models), len(pops), len(rfs)))
-    for m, model in enumerate(models):
-        kernel = partial(model_weights, model, grid, t, params)
-        w_base = kernel(costs.values, ds.values, pd5_base, pd5)
-        w_shocked = kernel(costs.values, ds.values, shocked_base, shocked)
-        w_rescaled = kernel(rescaled_costs, ds.values, pd5_base, pd5)
-        for p, pop in enumerate(pops):
-            counts = pop.counts[:, j]
-            value = contract(counts, w_base)
-            crimis[m, p] = contract(counts, w_shocked, len(rr_values)) - value
-            criuis[m, p] = contract(counts, w_rescaled, len(rfs)) - value
+    def weights(k, cost_rows, base_probs, probs):  # (models, 1, k, cohorts)
+        rows = [model_weights(m, grid, t, params, cost_rows, ds.values, base_probs, probs)
+                for m in models]
+        return np.stack([np.broadcast_to(w, (k, grid.n_cohorts)) for w in rows])[:, None]
+
+    counts = np.stack([pop.counts[:, j] for pop in pops])[:, None]  # (pops, 1, cohorts)
+    n_rr, n_rf = len(rr_values), len(rfs)
+    value = contract(counts, weights(1, costs.values, pd5_base, pd5))
+    crimis = contract(counts, weights(n_rr, costs.values, shocked_base, shocked), n_rr) - value
+    criuis = contract(counts, weights(n_rf, rescaled_costs, pd5_base, pd5), n_rf) - value
     return GridResult(tuple(models), tuple(pop_scenarios), tuple(rr_values), tuple(rfs),
                       t, gdp, crimis, criuis)

@@ -592,19 +592,9 @@ def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> li
     ``number`` maps each numeric column (the RFs, ``crimi``, ``criui``,
     ``cri`` and its GDP share) once per distinct float64 bit pattern, so
     ``-0.0`` and ``0.0`` stay apart; RR selectors are
-    :func:`selector_text`. Rows outside a :class:`GridResult` are taken as
-    one-cell grids.
+    :func:`selector_text`. Rows outside a :class:`GridResult` are read
+    column by column, each GDP share with its row's own GDP.
     """
-    if not isinstance(rows, GridResult):
-        grids = [GridResult((r.model,), (r.pop_scenario,), (r.rr_selector,), (r.rf,), r.result.date,
-                            r.result.gdp, [[[r.result.crimi]]], [[[r.result.criui]]]) for r in rows]
-        columns = [impact_columns(grid, number) for grid in grids]
-        return [[cell for part in column for cell in part] for column in zip(*columns)]
-    m, p, r, f = shape = rows.shape
-
-    def per_cell(values, at):  # ``values`` shaped ``at``, repeated along the other axes
-        return np.broadcast_to(np.array(values, dtype=object).reshape(at), shape).ravel().tolist()
-
     def distinct(values):  # the distinct values, by bit pattern, and where each value is in them
         bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
         unique, inverse = np.unique(bits, return_inverse=True)
@@ -615,6 +605,24 @@ def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> li
 
     def numbers(values):
         return spread(*distinct(values))
+
+    if not isinstance(rows, GridResult):
+        rows = list(rows)
+        results = [r.result for r in rows]
+        return [
+            [r.model for r in rows],
+            [r.pop_scenario for r in rows],
+            [selector_text(r.rr_selector) for r in rows],
+            numbers([r.rf for r in rows]),
+            numbers([res.crimi for res in results]),
+            numbers([res.criui for res in results]),
+            numbers([res.cri for res in results]),
+            numbers([res.cri_gdp_pct for res in results]),
+        ]
+    m, p, r, f = shape = rows.shape
+
+    def per_cell(values, at):  # ``values`` shaped ``at``, repeated along the other axes
+        return np.broadcast_to(np.array(values, dtype=object).reshape(at), shape).ravel().tolist()
 
     # The GDP share is elementwise in one GDP, so equal CRI bits give equal share bits.
     cri, cri_at = distinct(rows.cri)

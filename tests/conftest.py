@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -108,3 +109,18 @@ def rng() -> np.random.Generator:
 def data_dir() -> Path:
     assert DATA_DIR.exists(), "bundled fixture dataset is missing"
     return DATA_DIR
+
+
+def overflowing_bundle(root: Path) -> Path:
+    """A copy of the bundled data whose every per-capita cost is 1e306.
+
+    Each value is valid on its own, but head-count x cost overflows, so
+    every expenditure is infinite. Returns the copy's manifest.
+    """
+    bundle = root / "data"
+    shutil.copytree(DATA_DIR, bundle)
+    table = bundle / "cost_profile.csv"
+    header, *rows = table.read_text().splitlines()
+    rows = [",".join(row.split(",")[:-1] + ["1e306"]) for row in rows]
+    table.write_text("\n".join([header, *rows]) + "\n")
+    return bundle / "manifest.txt"

@@ -1,4 +1,5 @@
 import errno
+import os
 import re
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ from hcimpact.cli import main
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
 from hcimpact.report import render_table
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, overflowing_bundle
 
 
 def run_cli(*args) -> int:
@@ -518,6 +519,23 @@ def test_cohort_row_off_the_grid_exits_2_with_its_line(tmp_path, capsys, data_di
     lo, hi = row.split(",")[1:3]
     assert (f"error: {table}:{text.count(chr(10))}: cohort [{lo}, {hi}] is not on the "
             "cohort grid") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_overflowing_expenditure_exits_2_without_a_warning(tmp_path, command):
+    manifest = overflowing_bundle(tmp_path)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcimpact.cli", command, "--manifest", str(manifest),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: expenditure must be finite at every date\n"
     assert not out.exists()
 
 

@@ -20,6 +20,8 @@ from hcimpact import (
     rescaling_factor,
 )
 
+from hcimpact.expenditure import contract
+
 from conftest import BUNDLED_SHARES, grid_of
 
 
@@ -272,3 +274,42 @@ class TestUniformRescaling:
             base = evaluate_model(model, pop, costs, ds, mort, params)
             scaled = evaluate_model(model, pop, costs.scaled(factor), ds, mort, params)
             assert np.allclose(scaled.values, factor * base.values, rtol=1e-9, atol=1e-9)
+
+
+class TestContractBits:
+    """A contracted value does not depend on the stack it is computed in."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.sampled_from([1, 2, 7, 8, 9, 20, 127, 128, 129, 300]),
+        rows=st.integers(1, 4),
+        models=st.integers(1, 3),
+        pops=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_alone_equals_the_row_in_every_stack(self, seed, n, rows, models, pops):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 6.0, n)  # several magnitudes, so order matters
+        weights = rng.uniform(-1.0, 1.0, (models, pops, rows, n)) * scale
+        counts = rng.uniform(0.0, 5000.0, (pops, 1, n))
+        alone = np.array([[[contract(counts[p, 0], weights[m, p, r])[0]
+                            for r in range(rows)] for p in range(pops)] for m in range(models)])
+        full = contract(counts, weights, rows)
+        assert full.shape == (models, pops, rows)
+        assert np.array_equal(full.view(np.int64), alone.view(np.int64))
+        for p in range(pops):
+            by_rows = contract(counts[p, 0], weights[0, p], rows)
+            by_models = contract(counts[p], weights[:, p:p + 1], rows)
+            assert np.array_equal(by_rows.view(np.int64), alone[0, p].view(np.int64))
+            assert np.array_equal(by_models.view(np.int64), alone[:, p:p + 1].view(np.int64))
+
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 200), rows=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_rows_differ_by_exactly_zero(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        counts = rng.uniform(0.0, 5000.0, n)
+        row = rng.uniform(0.0, 8000.0, n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
+        base = contract(counts, row)
+        stacked = contract(np.stack([counts, counts])[:, None], row, rows)
+        assert stacked.shape == (2, rows)
+        assert np.all(stacked - base == 0.0)

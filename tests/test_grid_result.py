@@ -250,6 +250,34 @@ class TestDistinctRender:
         assert text == _reference_csv(grid)
 
 
+class TestRowListRender:
+    """A plain list of rows renders column by column, each row with its own GDP."""
+
+    @given(grids=st.lists(_pooled_grids(), min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_equals_the_per_row_render(self, grids, data):
+        rows = data.draw(st.permutations([row for grid in grids for row in grid]))
+        assert io.impact_csv_text(rows) == _reference_csv(rows)
+        assert io.impact_csv_text(iter(rows)) == _reference_csv(rows)
+        want = [[r.model, r.pop_scenario, io.selector_text(r.rr_selector), float(r.rf),
+                 float(r.result.crimi), float(r.result.criui), float(r.result.cri),
+                 float(r.result.cri_gdp_pct)] for r in rows]
+        got = [list(cells) for cells in zip(*io.impact_columns(rows, float))]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_an_empty_list_is_the_header_only(self):
+        assert io.impact_csv_text([]) == ",".join(io.IMPACT_COLUMNS) + "\n"
+        assert io.impact_csv_text(iter([])) == _reference_csv([])
+
+    @pytest.mark.parametrize("gdp, message", [(None, "no GDP available"),
+                                              (0.0, "GDP must be positive, got 0.0")])
+    def test_a_row_without_a_valid_gdp_fails_the_render(self, gdp, message):
+        good = GridRow("PD", "S0", "upper", 1.0, ImpactResult(2015, 1.0, 2.0, 3.0))
+        bad = GridRow("PD", "S0", "upper", 1.0, ImpactResult(2015, 1.0, 2.0, gdp))
+        with pytest.raises(ValidationError, match=message):
+            io.impact_csv_text([good, bad])
+
+
 def _bench_gen():
     spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "benchmarks" / "gen.py")
     module = importlib.util.module_from_spec(spec)

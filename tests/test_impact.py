@@ -20,6 +20,7 @@ from hcimpact import (
     crimi,
     criui,
     evaluate_model,
+    expenditure_pd,
     gdp_share_pct,
     parse_selector,
     rescaling_factor,
@@ -28,7 +29,7 @@ from hcimpact import (
 from hcimpact.io import fmt_value
 from hcimpact.manifest import RunManifest, parse_manifest
 
-from conftest import BUNDLED_SHARES, grid_of, random_inputs
+from conftest import BUNDLED_SHARES, grid_of, overflowing_bundle, random_inputs
 
 
 def _unit_bundle(rng, n=4, d=3):
@@ -467,3 +468,34 @@ class TestNoInertSetting:
         for manifest, expected in ((bundled, before), (changed, after)):
             result = cri(manifest.scenario_config(), manifest.load_inputs())
             assert fmt_value(getattr(result, component)) == expected
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """An overflowing contraction is the finiteness error, never a numpy warning."""
+
+    MESSAGE = "expenditure must be finite at every date"
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        manifest = parse_manifest(overflowing_bundle(tmp_path))
+        return manifest.scenario_config(), manifest.load_inputs()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_cri_raises_the_finiteness_error(self, loaded, model):
+        config, inputs = loaded
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            cri(replace(config, model=model), inputs)
+
+    def test_grid_raises_the_finiteness_error(self, loaded):
+        config, inputs = loaded
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            sensitivity_grid(config, inputs, ["lower", 1.5], ["upper", 2.0],
+                             list(MODELS), sorted(inputs.populations))
+
+    def test_expenditure_path_raises_the_finiteness_error(self, loaded):
+        config, inputs = loaded
+        pop = inputs.populations[config.population]
+        costs = inputs.cost_profiles[config.cost_profile]
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            expenditure_pd(pop, costs, inputs.params)
