@@ -17,7 +17,7 @@ per-capita costs in EUR/person/year, expenditure in EUR millions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -138,6 +138,7 @@ class ModelParameters:
     utilization: float | np.ndarray | None = None
     health_improvement_rate: float = 0.25
     gdp: Mapping[int, float] | None = None
+    _vectors: dict = field(default_factory=dict, init=False, repr=False)  # cohorts -> vector
 
     def __post_init__(self) -> None:
         r = self.health_improvement_rate
@@ -149,12 +150,13 @@ class ModelParameters:
                     raise ValidationError(f"GDP must be positive, got {v} at {date}")
 
     def utilization_vector(self, grid: CohortGrid) -> np.ndarray:
-        if self.utilization is None:
-            return np.ones(grid.n_cohorts)
-        u = np.asarray(self.utilization, dtype=float)
-        if u.ndim == 0:
-            u = np.full(grid.n_cohorts, float(u))
-        return frozen_array(u, (grid.n_cohorts,), "utilization scaling")
+        """The multiplier per cohort of ``grid``: checked once per cohort count, then kept."""
+        n = grid.n_cohorts
+        if n not in self._vectors:
+            u = np.asarray(1.0 if self.utilization is None else self.utilization, dtype=float)
+            u = np.full(n, float(u)) if u.ndim == 0 else u
+            self._vectors[n] = frozen_array(u, (n,), "utilization scaling")
+        return self._vectors[n]
 
 
 def require_same_grid(*objs) -> CohortGrid:
@@ -182,20 +184,22 @@ def model_weights(
     takes the D/S ratios and the 5-year death probabilities at the base
     date and at ``date`` (rows or stacks); the result broadcasts over
     every stack. Expenditure at ``date`` is :func:`contract` of the
-    head-counts with each weight row.
+    head-counts with each weight row, which also reports a weight that
+    overflowed.
     """
     u = params.utilization_vector(grid)
-    if model == "PD":
-        return u * costs
-    if model == "CH":
-        mids = np.array(grid.cohort_midpoints())
-        shift = params.health_improvement_rate * (date - grid.base_date)
-        eff_costs = [np.interp(mids - shift, mids, row) for row in np.atleast_2d(costs)]
-        return u * np.reshape(eff_costs, np.shape(costs))
-    if model == "DC":
-        s, d = _split_costs(costs, ds, annualized(pd5_base))
-        pd1 = annualized(pd5)
-        return u * (s * (1.0 - pd1) + d * pd1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model == "PD":
+            return u * costs
+        if model == "CH":
+            mids = np.array(grid.cohort_midpoints())
+            shift = params.health_improvement_rate * (date - grid.base_date)
+            eff_costs = [np.interp(mids - shift, mids, row) for row in np.atleast_2d(costs)]
+            return u * np.reshape(eff_costs, np.shape(costs))
+        if model == "DC":
+            s, d = _split_costs(costs, ds, annualized(pd5_base))
+            pd1 = annualized(pd5)
+            return u * (s * (1.0 - pd1) + d * pd1)
     raise ValidationError(f"unknown model {model!r}; valid ids: {', '.join(MODELS)}")
 
 

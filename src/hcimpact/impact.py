@@ -131,8 +131,7 @@ def _resolve(mapping: Mapping[str, object], key: str, what: str):
 def _rr_vector(selection: str | float, inputs: ScenarioInputs) -> np.ndarray:
     if isinstance(selection, str):
         return inputs.rr_mortality.select(selection)
-    return frozen_array(np.full(inputs.grid.n_cohorts, float(selection)),
-                        (inputs.grid.n_cohorts,), "lower bounds")
+    return np.full(inputs.grid.n_cohorts, float(selection))
 
 
 def resolve_rf(selection: str | float, inputs: ScenarioInputs) -> float:
@@ -317,9 +316,13 @@ def sensitivity_grid(
         raise ValidationError(f"date {t} not on the expenditure path")
     j = grid.date_index(t)
 
-    shocked = shock_death_probs(mortality, [_rr_vector(r, inputs) for r in rr_values], t)
+    rr = np.array([_rr_vector(r, inputs) for r in rr_values])
+    numeric = rr[[not isinstance(r, str) for r in rr_values]]
+    frozen_array(numeric, numeric.shape, "lower bounds")  # the numeric RR selectors, at once
+    shocked = shock_death_probs(mortality, rr, t)
     rfs = [resolve_rf(r, inputs) for r in rf_values]
-    rescaled_costs = costs.values * np.array(rfs)[:, None]
+    with np.errstate(over="ignore"):  # an overflow is contract's finiteness error
+        rescaled_costs = costs.values * np.array(rfs)[:, None]
     pd5_base, pd5 = mortality.death_prob[:, 0], mortality.death_prob[:, j]
     # a shock at the base date also moves DC's survivor/decedent split
     shocked_base = shocked if j == 0 else pd5_base

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
@@ -201,7 +202,7 @@ def _read_records(path, parsers):
         yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
-#: Data lines the columnar pass of :func:`_read_cohort_table` splits at once.
+#: Data lines the columnar pass of :func:`_read_cohort_table` parses at once.
 #: A block, not the whole file, keeps the pass's memory flat in the file size.
 _BLOCK_LINES = 4096
 
@@ -229,101 +230,91 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     with _open_table(path, columns, unused) as (header, _, fh):
         try:
             found = _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused)
-        except ValueError:  # a cell that does not convert, or a byte that is not UTF-8
+        except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
             found = None
     if found is not None:
         return found
     return _read_cohort_rows(path, value_column, bounds, problem, key, grid, unused)
 
 
-def _index_cells(cells: list[str], index: dict[str, int]) -> np.ndarray:
-    """The index of each cell in ``index``, which numbers new cells from ``len(index)``."""
-    for cell in dict.fromkeys(cells):
-        index.setdefault(cell, len(index))
-    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values (plain ``np.unique`` imports ``numpy.ma`` on first use)."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused):
     """The columnar pass of :func:`_read_cohort_table` over the data lines of
     ``fh``: its result, or None for a file the row loop must read.
 
-    Lines are split by position in blocks of :data:`_BLOCK_LINES`. The id,
-    cohort and date cells are numbered once per distinct text, ``float``
-    converts every value, and the checks run on whole columns after the
-    last block. The pass accepts only what ``csv`` splits like a plain
-    ``str.split``: a quote, CR or NUL, a row of another width or a line
-    longer than a ``csv`` field may be returns None, as does any failed
-    check. A cell ``int`` or ``float`` rejects raises ``ValueError``.
+    ``np.loadtxt`` parses each block of :data:`_BLOCK_LINES` lines, the id
+    and ``unused`` cells as text, values as floats and the rest as int64;
+    it takes a strict subset of what ``int`` and ``float`` take and raises
+    ``ValueError`` or warns on any other cell or row width. It splits like
+    ``csv`` only lines without a quote, CR or NUL and no longer than a
+    ``csv`` field may be: a block with another line returns None, as does
+    any failed check. Only the table, date, cohort and value of each block
+    are kept; the checks run on whole columns after the last block.
     """
     dated = grid is None
-    width = len(header)
-    step = width + 1  # the cells of a row, then the "\n" cell that ends it
-    at = {column: i for i, column in enumerate(header)}
-    numbered = ((key,) if key else ()) + (("date",) if dated else ()) + ("cohort_lo",)
-    index: dict[str, dict[str, int]] = {column: {} for column in numbered}
-    blocks: dict[str, list] = {column: [] for column in (*numbered, value_column)}
-    bins: set[tuple[str, str]] = set()  # (cohort_lo, cohort_hi) cells
+    dtype = np.dtype([(column, object if column == key or column in unused else
+                       float if column == value_column else np.int64) for column in header])
+    tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
     checked: set[str] = set()  # cells of ``unused`` columns that are blank or finite numbers
+    kept = []  # (table, date, cohort_lo, value) of each block
     limit = csv.field_size_limit()
     while lines := list(islice(fh, _BLOCK_LINES)):
         text = "".join(lines)
         if '"' in text or "\r" in text or "\0" in text or (
                 len(text) > limit and max(map(len, lines)) > limit):
             return None
-        rows = list(filter(None, text.split("\n")))  # the row loop skips an empty line
-        if not rows:
+        if not text.strip("\n"):  # empty lines only, which loadtxt and csv both skip
             continue
-        n = len(rows)
-        cells = ",\n,".join(rows).split(",")
-        if len(cells) != n * step - 1 or cells[width::step].count("\n") != n - 1:
-            return None
-        for column in numbered:
-            blocks[column].append(_index_cells(cells[at[column]::step], index[column]))
-        bins.update(zip(cells[at["cohort_lo"]::step], cells[at["cohort_hi"]::step]))
-        blocks[value_column].append(
-            np.fromiter(map(float, cells[at[value_column]::step]), float, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None,
+                              quotechar=None, ndmin=1)
         for column in unused:
-            if column in at:
-                for cell in set(cells[at[column]::step]) - checked:
+            if column in header:
+                for cell in set(rows[column].tolist()) - checked:
                     if (number := cell.strip()) and not math.isfinite(float(number)):
                         return None
                     checked.add(cell)
-    if not blocks[value_column]:
-        return None
-    per_row = {column: np.concatenate(parts) for column, parts in blocks.items()}
-    if key:
-        ids = [cell.strip() for cell in index[key]]
-        if "" in ids:
+        table = zeros = np.zeros(len(rows), np.intp)  # the table or date of a file without one
+        if key:
+            cells = rows[key]
+            first = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))  # each run of a cell
+            ids = [cell.strip() for cell in cells[first].tolist()]
+            if "" in ids:
+                return None
+            table = np.repeat([tables.setdefault(i, len(tables)) for i in ids],
+                              np.diff(first, append=len(cells)))
+        lo = rows["cohort_lo"].copy()
+        if not np.all(rows["cohort_hi"] - lo == COHORT_WIDTH - 1):  # exact once lo is on the grid
             return None
-        tables = {table_id: i for i, table_id in enumerate(dict.fromkeys(ids))}
-        table = np.array([tables[table_id] for table_id in ids], np.intp)[per_row[key]]
-    else:
-        tables, table = {None: 0}, 0
-    lo_of = {cell: int(cell) for cell in index["cohort_lo"]}
-    if any(int(hi) - lo_of[lo] != COHORT_WIDTH - 1 for lo, hi in bins):
+        date = rows["date"].copy() if dated else zeros
+        kept.append((table, date, lo, rows[value_column].copy()))
+    if not kept:
         return None
+    table, date, lo, value = map(np.concatenate, zip(*kept))
     if dated:
-        date_of = [int(cell) for cell in index["date"]]
         try:
-            grid = CohortGrid(tuple(sorted(set(lo_of.values()))), tuple(sorted(set(date_of))))
+            grid = CohortGrid(tuple(_distinct(lo).tolist()), tuple(_distinct(date).tolist()))
         except ValidationError:
             return None
-        date_at = {d: j for j, d in enumerate(grid.dates)}
-        date = np.array([date_at[d] for d in date_of], np.intp)[per_row["date"]]
-    else:
-        date = 0
-    cohort_at = {lo: i for i, lo in enumerate(grid.cohort_starts)}
-    if not cohort_at.keys() >= set(lo_of.values()):
+        date = np.searchsorted(grid.dates, date)
+    starts = np.array(grid.cohort_starts)
+    cohort = np.searchsorted(starts, lo)
+    if not np.array_equal(starts.take(cohort, mode="clip"), lo):  # a cohort off the grid
         return None
-    cohort = np.array([cohort_at[lo] for lo in lo_of.values()], np.intp)[per_row["cohort_lo"]]
     low, high = bounds
-    value = per_row[value_column]
     if not np.all((value >= low) & (value <= high)):
         return None
     n_dates = grid.n_dates if dated else 1
     cell = (table * grid.n_cohorts + cohort) * n_dates + date
     size = len(tables) * grid.n_cohorts * n_dates
-    if not np.all(np.bincount(cell, minlength=size) == 1):  # a missing or duplicate cell
+    # Every cell once: as many rows as cells, and no cell missing or twice.
+    if value.size != size or not np.all(np.bincount(cell, minlength=size) == 1):
         return None
     values = np.empty(size)
     values[cell] = value

@@ -589,3 +589,49 @@ def test_outputs_equal_the_golden_files_byte_for_byte(tmp_path, data_dir, comman
     assert golden
     for want in golden:
         assert (out / want.name).read_bytes() == want.read_bytes(), want.name
+
+
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports ``hcimpact`` from ``src/``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("utilization", ["1.0", "2.0"])
+@pytest.mark.parametrize("model", ["PD", "CH", "DC"])
+def test_costs_near_the_float_maximum_exit_2_under_warnings_as_errors(
+    tmp_path, data_dir, model, utilization
+):
+    # The rescaled costs overflow first at utilization 1; at 2 the weights do.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    table = bundle / "cost_profile.csv"
+    header, *rows = table.read_text().splitlines()
+    table.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ",1.7e308" for row in rows)]))
+    manifest = bundle / "manifest.txt"
+    text = re.sub(r"(?m)^scenario\.model = .*$", f"scenario.model = {model}", manifest.read_text())
+    manifest.write_text(re.sub(r"(?m)^params\.utilization = .*$",
+                               f"params.utilization = {utilization}", text))
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", "impact",
+                              "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: expenditure must be finite at every date\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "impact", "sensitivity", "report"])
+def test_no_subcommand_imports_numpy_ma(tmp_path, data_dir, command):
+    # numpy 2 imports numpy.ma on first use (plain ``np.unique`` does), at 15-30 ms;
+    # numpy 1 imports it with numpy, so the test asks whether ``main`` added it.
+    manifest = data_dir / "manifest.txt"
+    if command == "report":
+        manifest = tmp_path / "report_manifest.txt"
+        files = ", ".join(str(_GOLDEN_CLI / rel) for rel in _REPORT_INPUTS)
+        manifest.write_text(f"report.files = {files}\n")
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    proc = _fresh_interpreter("-c", "import sys, numpy; had = 'numpy.ma' in sys.modules; "
+                              f"from hcimpact.cli import main; status = main({argv!r}); "
+                              "print(status, 'numpy.ma' in sys.modules and not had)")
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

@@ -1,6 +1,9 @@
 import csv
 import importlib.util
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hcimpact import (
 )
 from hcimpact import io
 from hcimpact.grid import COHORT_WIDTH, CohortGrid
+from hcimpact.manifest import parse_manifest
 
 from conftest import REPO_ROOT, grid_of
 
@@ -773,3 +777,87 @@ _COHORT_READS = (  # each cohort file of an input folder, as (grid, {id: values}
     lambda folder: (_folder_grid(folder), {k: p.values for k, p in io.read_ds_ratios_csv(
         folder / "ds_ratio.csv", _folder_grid(folder)).items()}),
 )
+
+
+# Cells where numpy's text parser (which the columnar pass uses) and the
+# ``int``, ``float`` and ``csv`` of the row loop could differ. Each file
+# must read as the reference reads it, whichever pass ends up reading it.
+_POPULATION_HEADER = "scenario,date,cohort_lo,cohort_hi,count_thousands"
+_POPULATION_ROWS = [f"X,{date},{lo},{lo + 4},{lo + 1}" for date in (2010, 2015)
+                    for lo in (0, 5, 10)]
+_ODD_INTS = ("\u0661\u0662", "1_0", "1.0", "1e3", "99999999999999999999", "007", "-0", "+5",
+             "10.0", "1e1")
+
+
+def _with_cell(column: str, text: str) -> str:
+    """The population rows with ``column`` of one row set to ``text``: the row
+    of the cohort ``int(text)`` starts, if there is one, else the last."""
+    at = _POPULATION_HEADER.split(",").index(column)
+    try:
+        target = [row.split(",")[2] for row in _POPULATION_ROWS].index(str(int(text)))
+    except ValueError:
+        target = len(_POPULATION_ROWS) - 1
+    rows = [row.split(",") for row in _POPULATION_ROWS]
+    rows[target][at] = text
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+_PARSER_EDGE_FILES = {
+    **{f"{column} {text!r}": ("population", _with_cell(column, text))
+       for column in ("date", "cohort_lo", "cohort_hi") for text in _ODD_INTS},
+    **{f"value {text!r}": ("population", _with_cell("count_thousands", text))
+       for text in ("\u0661\u0662", "1_0", "\x1c1", "1.5\x85", "infinity", "-nan")},
+    **{f"id {table_id!r}": ("population", "\n".join(
+        row.replace("X", table_id) for row in _POPULATION_ROWS) + "\n")
+       for table_id in ("A\u2028B", "A\x85B", "\u2028A\x85", "A\xa0B")},
+    "a block of blank lines": ("population", "\n" * 4096 + "\n".join(_POPULATION_ROWS) + "\n"),
+    "a whitespace-only line": ("population", "\n".join(
+        _POPULATION_ROWS[:3] + ["   "] + _POPULATION_ROWS[3:]) + "\n"),
+    "a blank life_expectancy cell": ("mortality", "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy"
+                                     "\n2010,0,4,0.01,\n2010,5,9,0.02,80\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSER_EDGE_FILES))
+def test_cohort_reader_matches_reference_where_parsers_could_differ(tmp_path, name):
+    kind, text = _PARSER_EDGE_FILES[name]
+    if kind == "population":
+        text = f"{_POPULATION_HEADER}\n{text}"
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path / "table.csv"
+    f.write_text(text, encoding="utf-8")
+    _assert_same_outcome(reader, reference, f)
+
+
+@pytest.mark.parametrize("source", ["bundled", "generated"])
+def test_load_inputs_takes_the_columnar_pass(tmp_path, monkeypatch, data_dir, source):
+    if source == "bundled":
+        manifest = data_dir / "manifest.txt"
+    else:
+        subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "gen.py"), "--seed", "0",
+                        "--out", str(tmp_path)], check=True)
+        manifest = tmp_path / "manifest_PD.txt"
+    calls, row_loop = [], io._read_cohort_rows
+
+    def spy(path, *args, **kwargs):
+        calls.append(path)
+        return row_loop(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "_read_cohort_rows", spy)
+    parse_manifest(manifest).load_inputs()
+    assert calls == []
+
+
+def test_columnar_pass_memory_stays_linear_in_the_rows(tmp_path):
+    # One row per table, cohort and date: a grid of rows cubed cells, nearly all missing.
+    f = tmp_path / "pop.csv"
+    f.write_text("\n".join([_POPULATION_HEADER, *(
+        f"S{i},{2010 + 5 * i},{5 * i},{5 * i + 4},1" for i in range(300))]) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="missing cell for cohort 0-4 at date 2015$"):
+            io.read_population_csv(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
