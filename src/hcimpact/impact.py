@@ -79,12 +79,17 @@ def parse_selector(text: str) -> str | float:
 
 
 def gdp_share_pct(value_eur_m, gdp_eur_m: float | None):
-    """Express an EUR-millions value (a number or an array) as a percentage of GDP."""
+    """Express an EUR-millions value (a number or an array) as a percentage of GDP;
+    a share that is not finite (of a subnormal GDP) is a ``ValidationError``."""
     if gdp_eur_m is None:
         raise ValidationError("no GDP available at the evaluation date")
     if not math.isfinite(gdp_eur_m) or gdp_eur_m <= 0.0:
         raise ValidationError(f"GDP must be positive, got {gdp_eur_m}")
-    return value_eur_m / gdp_eur_m * 100.0
+    with np.errstate(over="ignore"):  # a subnormal GDP overflows the share
+        share = value_eur_m / gdp_eur_m * 100.0
+    if not np.all(np.isfinite(share)):
+        raise ValidationError(f"the share of GDP {gdp_eur_m} EUR millions is not finite")
+    return share
 
 
 @dataclass(frozen=True)

@@ -152,20 +152,15 @@ def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
         yield header, reader, fh
 
 
-def _row_cells(path, line: int, row: list[str], width: int) -> list[str] | None:
-    """The stripped cells of a row, a short row padded with empty cells;
-    None for a blank line."""
-    if len(row) > width:
-        _fail(path, "row has more fields than the header", line)
-    return [v.strip() for v in row] + [""] * (width - len(row)) if row else None
-
-
 def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield ``(line_number, {column: cell})`` for each non-blank row."""
+    """Yield ``(line_number, {column: cell})`` for each non-blank row, its
+    cells stripped and a short row padded with empty cells."""
     with _open_table(path, required, optional) as (header, reader, _):
         for row in reader:
-            cells = _row_cells(path, reader.line_num, row, len(header))
-            if cells is not None:
+            if len(row) > len(header):
+                _fail(path, "row has more fields than the header", reader.line_num)
+            if row:
+                cells = [v.strip() for v in row] + [""] * (len(header) - len(row))
                 yield reader.line_num, dict(zip(header, cells))
 
 
@@ -202,8 +197,8 @@ def _read_records(path, parsers):
         yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
-#: Data lines the columnar pass of :func:`_read_cohort_table` parses at once.
-#: A block, not the whole file, keeps the pass's memory flat in the file size.
+#: Data lines :func:`_read_cohort_blocks` parses at once. A block, not the
+#: whole file, keeps the parser's memory flat in the file size.
 _BLOCK_LINES = 4096
 
 
@@ -220,200 +215,195 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     Columns in ``unused`` are optional numbers that are validated but not
     kept.
 
-    A file is read by :func:`_read_cohort_blocks` when that columnar pass
-    accepts it, and otherwise again from the start by the row loop of
-    :func:`_read_cohort_rows`, which gives the same result or the message
-    naming the first bad line.
+    Two parsers read a file into the same columns, and one set of checks
+    runs on them. :func:`_read_cohort_blocks` reads any file ``np.loadtxt``
+    accepts, in one pass; only a file it refuses is read again, from the
+    start, by :func:`_read_cohort_rows`. The checks of a row are listed in
+    order, each with the first row it fails on. The error is at the first
+    of those rows, from the first check that fails there: the line and the
+    reason a reader going row by row would stop at. Then come the checks of
+    the whole file.
     """
-    columns = ((key,) if key else ()) + (("date",) if grid is None else ()) + (
+    dated = grid is None
+    what = key and key.removesuffix("_id")
+    required = ((key,) if key else ()) + (("date",) if dated else ()) + (
         "cohort_lo", "cohort_hi", value_column)
-    with _open_table(path, columns, unused) as (header, _, fh):
+    with _open_table(path, required, unused) as (header, reader, fh):
         try:
-            found = _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused)
+            parsed = _read_cohort_blocks(fh, header, reader.line_num, value_column, key, unused)
         except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
-            found = None
-    if found is not None:
-        return found
-    return _read_cohort_rows(path, value_column, bounds, problem, key, grid, unused)
+            parsed = None
+    ids, columns, line, bad, stop = parsed or _read_cohort_rows(
+        path, required, value_column, key, unused)
+    value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
+    n = len(value)
+    table = columns[key] if key else np.zeros(n, np.intp)
+    date = columns["date"] if dated else np.zeros(n, np.int64)
+    starts = _distinct(lo) if dated else np.array(grid.cohort_starts)
+    dates = _distinct(date)
+    cohort = np.searchsorted(starts, lo)
+    size = len(ids) * len(starts) * len(dates)
+    if size >= 2**63:  # past int64, once the ids, cohorts and dates each pass 2**21
+        table = table.astype(object)
+    cell = (table * len(starts) + cohort) * len(dates) + np.searchsorted(dates, date)
+    order = np.argsort(cell, kind="stable")  # a repeat of a cell after the row it repeats
+    ordered = cell[order]
+    low, high = bounds
+
+    def first(mask) -> int:
+        return int(mask.argmax()) if mask.any() else n
+
+    def number(column, numbers, cells):  # not a finite number; ``cells`` did not parse (nan)
+        return first(~np.isfinite(numbers)), lambda row: f"column {column!r}: " + (
+            f"{cells[row]!r} is not a number" if row in cells else "value must be finite")
+
+    def duplicate(row):
+        owner = f"{what} {ids[table[row]]}, " if key else ""
+        when = f", date {date[row]}" if dated else ""
+        return f"duplicate cell for {owner}cohort {lo[row]}{when}"
+
+    checks = [  # (the first row that fails, the message of that row)
+        (first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
+        *((min(bad.get(c, {}), default=n),
+           lambda row, c=c: f"column {c!r}: {bad[c][row]!r} is not an integer")
+          for c in ("date", "cohort_lo", "cohort_hi")),
+        (first(hi - lo != COHORT_WIDTH - 1),
+         lambda row: f"cohort [{lo[row]}, {hi[row]}] is not a {COHORT_WIDTH}-year bin"),
+        (first(starts.take(cohort, mode="clip") != lo),
+         lambda row: f"cohort [{lo[row]}, {hi[row]}] is not on the cohort grid"),
+        number(value_column, value, bad.get(value_column, {})),
+        (first(~((value >= low) & (value <= high))), lambda row: problem.format(value[row])),
+    ]
+    checks += [number(c, *_parse_cells(columns[c], lambda t: float(t or 0), math.nan, float))
+               for c in unused if c in columns]
+    checks.append((int(np.min(order[1:][ordered[1:] == ordered[:-1]], initial=n)), duplicate))
+    row, i = min((row, i) for i, (row, _) in enumerate(checks))
+    if row < n:
+        _fail(path, checks[i][1](row), line(row))
+    if stop is not None:
+        raise stop
+    if not n:
+        _fail(path, "no data rows")
+    if dated:
+        try:
+            grid = CohortGrid(tuple(starts.tolist()), tuple(dates.tolist()))
+        except ValidationError as exc:  # date gaps and cohort gaps both surface here
+            _fail(path, str(exc))
+    if n < size:  # no cell twice and none off the grid: the first not in ``ordered`` is missing
+        t, rest = divmod(int(np.argmax(np.append(ordered != np.arange(n), True))),
+                         size // len(ids))
+        label, owner = grid.cohort_label(rest // len(dates)), f"{what} {ids[t]}: " if key else ""
+        _fail(path, owner + (f"missing cell for cohort {label} at date {dates[rest % len(dates)]}"
+                             if dated else f"missing cohort {label}"))
+    values = np.empty(size)
+    values[cell] = value
+    shape = (len(ids), grid.n_cohorts) + ((grid.n_dates,) if dated else ())
+    return grid, dict(zip(ids, values.reshape(shape)))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values (plain ``np.unique`` imports ``numpy.ma`` on first use)."""
     values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])]
+    return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
-def _read_cohort_blocks(fh, header, value_column, bounds, key, grid, unused):
-    """The columnar pass of :func:`_read_cohort_table` over the data lines of
-    ``fh``: its result, or None for a file the row loop must read.
+def _read_cohort_blocks(fh, header, header_end, value_column, key, unused):
+    """The data lines of ``fh``, after line ``header_end``, parsed as
+    :func:`_read_cohort_rows` parses them; None for text loadtxt refuses.
 
     ``np.loadtxt`` parses each block of :data:`_BLOCK_LINES` lines, the id
     and ``unused`` cells as text, values as floats and the rest as int64;
     it takes a strict subset of what ``int`` and ``float`` take and raises
     ``ValueError`` or warns on any other cell or row width. It splits like
     ``csv`` only lines without a quote, CR or NUL and no longer than a
-    ``csv`` field may be: a block with another line returns None, as does
-    any failed check. Only the table, date, cohort and value of each block
-    are kept; the checks run on whole columns after the last block.
+    ``csv`` field may be: a block with another line returns None. Of the
+    text, only the numbers of the empty lines (which loadtxt and ``csv``
+    skip) are kept, to find the line of a row.
     """
-    dated = grid is None
     dtype = np.dtype([(column, object if column == key or column in unused else
                        float if column == value_column else np.int64) for column in header])
     tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
-    checked: set[str] = set()  # cells of ``unused`` columns that are blank or finite numbers
-    kept = []  # (table, date, cohort_lo, value) of each block
+    # The columns of each block, after the empty ones a file without data lines returns.
+    kept = [{c: np.empty(0, np.intp if c == key else dtype[c]) for c in header}]
+    empty = []  # the number of each empty line
+    line = header_end + 1  # the first of the block
     limit = csv.field_size_limit()
     while lines := list(islice(fh, _BLOCK_LINES)):
         text = "".join(lines)
         if '"' in text or "\r" in text or "\0" in text or (
                 len(text) > limit and max(map(len, lines)) > limit):
             return None
-        if not text.strip("\n"):  # empty lines only, which loadtxt and csv both skip
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None,
-                              quotechar=None, ndmin=1)
-        for column in unused:
-            if column in header:
-                for cell in set(rows[column].tolist()) - checked:
-                    if (number := cell.strip()) and not math.isfinite(float(number)):
-                        return None
-                    checked.add(cell)
-        table = zeros = np.zeros(len(rows), np.intp)  # the table or date of a file without one
-        if key:
+        rows = np.empty(0, dtype)  # of a block of empty lines, which loadtxt would refuse
+        if text.strip("\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None,
+                                  quotechar=None, ndmin=1)
+        if len(rows) < len(lines):  # loadtxt, like csv, skipped the empty lines
+            empty += [line + i for i, s in enumerate(lines) if s == "\n"]
+        line += len(lines)
+        kept.append({column: rows[column].copy() for column in header if column != key})
+        if key:  # each run of one id cell takes its table number at once
             cells = rows[key]
-            first = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))  # each run of a cell
-            ids = [cell.strip() for cell in cells[first].tolist()]
-            if "" in ids:
-                return None
-            table = np.repeat([tables.setdefault(i, len(tables)) for i in ids],
-                              np.diff(first, append=len(cells)))
-        lo = rows["cohort_lo"].copy()
-        if not np.all(rows["cohort_hi"] - lo == COHORT_WIDTH - 1):  # exact once lo is on the grid
-            return None
-        date = rows["date"].copy() if dated else zeros
-        kept.append((table, date, lo, rows[value_column].copy()))
-    if not kept:
-        return None
-    table, date, lo, value = map(np.concatenate, zip(*kept))
-    if dated:
+            run = np.flatnonzero(np.append(True, cells[1:] != cells[:-1])[: len(cells)])
+            numbers = [tables.setdefault(i.strip(), len(tables)) for i in cells[run].tolist()]
+            kept[-1][key] = np.repeat(np.array(numbers, np.intp), np.diff(run, append=len(cells)))
+
+    def line_of(row: int) -> int:
+        line = header_end + 1 + row
+        for skipped in empty:  # in increasing order
+            line += skipped <= line
+        return line
+
+    # Each column's blocks are let go as it is joined: one column at a time is held twice.
+    columns = {column: np.concatenate([block.pop(column) for block in kept]) for column in header}
+    return list(tables), columns, line_of, {}, None
+
+
+def _parse_cells(texts, convert, stand_in, dtype):
+    """An array of ``convert`` of each stripped text, and ``{index: stripped
+    text}`` of the texts it refuses, which stand as ``stand_in``."""
+    values, bad = [], {}
+    for i, text in enumerate(map(str.strip, texts)):
         try:
-            grid = CohortGrid(tuple(_distinct(lo).tolist()), tuple(_distinct(date).tolist()))
-        except ValidationError:
-            return None
-        date = np.searchsorted(grid.dates, date)
-    starts = np.array(grid.cohort_starts)
-    cohort = np.searchsorted(starts, lo)
-    if not np.array_equal(starts.take(cohort, mode="clip"), lo):  # a cohort off the grid
-        return None
-    low, high = bounds
-    if not np.all((value >= low) & (value <= high)):
-        return None
-    n_dates = grid.n_dates if dated else 1
-    cell = (table * grid.n_cohorts + cohort) * n_dates + date
-    size = len(tables) * grid.n_cohorts * n_dates
-    # Every cell once: as many rows as cells, and no cell missing or twice.
-    if value.size != size or not np.all(np.bincount(cell, minlength=size) == 1):
-        return None
-    values = np.empty(size)
-    values[cell] = value
-    shape = (len(tables), grid.n_cohorts) + ((n_dates,) if dated else ())
-    return grid, dict(zip(tables, values.reshape(shape)))
+            values.append(convert(text))
+        except ValueError:
+            values.append(stand_in)
+            bad[i] = text
+    return np.array(values, dtype), bad
 
 
-def _read_cohort_rows(path, value_column, bounds, problem, key=None, grid=None, unused=()):
-    """:func:`_read_cohort_table` as one loop over the rows, for any file.
+def _read_cohort_rows(path, required, value_column, key, unused):
+    """Any cohort table, read row by row by :func:`_read_rows`: ``(ids,
+    columns, line, bad, stop)``.
 
-    Each row is read by position. ``int`` and ``float`` accept
-    surrounding whitespace, so only the id cell is stripped; a number cell
-    that does not convert is stripped and parsed again, which names it in
-    the message or, for whitespace ``float`` keeps (such as U+001C),
-    returns its value. The checks run in a fixed order and the first that
-    fails names the row's line; with a ``grid``, a cohort off it fails.
+    ``columns`` maps the id column to each row's table number, an index into
+    ``ids`` (the stripped ids in order of first appearance), and ``line(row)``
+    is a row's line. Number cells are parsed by ``int`` or ``float``: ``bad``
+    maps a number column to ``{row: stripped text}`` of the cells that did
+    not parse. ``stop`` is the error that ended the reading, or None: a row
+    with more fields than the header, a line ``csv`` cannot split or a byte
+    that does not decode. It is the file's error if the rows before it pass.
     """
-    dated = grid is None
-    what = key and key.removesuffix("_id")
-    columns = ((key,) if key else ()) + (("date",) if dated else ()) + (
-        "cohort_lo", "cohort_hi", value_column)
-    low, high = bounds
-    on_grid = () if dated else frozenset(grid.cohort_starts)
-    tables: dict[str | None, dict] = {}  # id: {(cohort_lo, date): value}
-    with _open_table(path, columns, unused) as (header, reader, _):
-        width = len(header)
-        at = {column: i for i, column in enumerate(header)}
-        id_at = at.get(key)
-        date_at = at.get("date")
-        lo_at, hi_at, value_at = at["cohort_lo"], at["cohort_hi"], at[value_column]
-        extra = [(column, at[column]) for column in unused if column in at]
-        # ``cells`` is the table of id ``current``; no id equals the sentinel,
-        # so the first row opens its table.
-        table_id = date = None
-        current, cells = object(), None
-        for row in reader:
-            line = reader.line_num
-            if len(row) != width:
-                if not row:
-                    continue
-                row = _row_cells(path, line, row, width)
-            if key:
-                table_id = row[id_at].strip()
-                if not table_id:
-                    _fail(path, f"empty {what} id", line)
-            if table_id != current:
-                current, cells = table_id, tables.setdefault(table_id, {})
-            try:
-                if dated:
-                    date = int(row[date_at])
-                lo, hi = int(row[lo_at]), int(row[hi_at])
-            except ValueError:  # stripped, the first cell that does not parse fails
-                if dated:
-                    date = _parse_int(path, line, "date", row[date_at].strip())
-                lo = _parse_int(path, line, "cohort_lo", row[lo_at].strip())
-                hi = _parse_int(path, line, "cohort_hi", row[hi_at].strip())
-            if hi - lo != COHORT_WIDTH - 1:
-                _fail(path, f"cohort [{lo}, {hi}] is not a {COHORT_WIDTH}-year bin", line)
-            if not dated and lo not in on_grid:
-                _fail(path, f"cohort [{lo}, {hi}] is not on the cohort grid", line)
-            try:
-                value = float(row[value_at])
-            except ValueError:  # ``float`` strips only ASCII whitespace
-                value = math.nan
-            if not low <= value <= high:  # not a number or not finite fails first
-                value = _parse_float(path, line, value_column, row[value_at].strip())
-                if not low <= value <= high:
-                    _fail(path, problem.format(value), line)
-            for column, i in extra:
-                if text := row[i].strip():
-                    _parse_float(path, line, column, text)
-            if (lo, date) in cells:
-                owner = f"{what} {table_id}, " if key else ""
-                when = f", date {date}" if dated else ""
-                _fail(path, f"duplicate cell for {owner}cohort {lo}{when}", line)
-            cells[lo, date] = value
-    if not tables:
-        _fail(path, "no data rows")
-    if dated:
-        starts = {lo for cells in tables.values() for lo, _ in cells}
-        dates = {d for cells in tables.values() for _, d in cells}
-        try:
-            grid = CohortGrid(tuple(sorted(starts)), tuple(sorted(dates)))
-        except ValidationError as exc:  # date gaps and cohort gaps both surface here
-            _fail(path, str(exc))
-    order = [(lo, d) for lo in grid.cohort_starts for d in (grid.dates if dated else (None,))]
-    shape = (grid.n_cohorts, grid.n_dates) if dated else (grid.n_cohorts,)
-    values = {}
-    for table_id, cells in tables.items():
-        try:
-            values[table_id] = np.array([cells[cell] for cell in order]).reshape(shape)
-        except KeyError as exc:
-            lo, d = exc.args[0]
-            label = grid.cohort_label(grid.cohort_starts.index(lo))
-            owner = f"{what} {table_id}: " if key else ""
-            missing = f"missing cohort {label}" if d is None else (
-                f"missing cell for cohort {label} at date {d}")
-            _fail(path, owner + missing)
-    return grid, values
+    rows, lines, stop = [], [], None
+    try:
+        for line, row in _read_rows(path, required, unused):
+            lines.append(line)
+            rows.append(row)
+    except ValidationError as exc:
+        stop = exc
+    tables, columns, bad = {}, {}, {}
+    for column in (*required, *unused):
+        texts = [row.get(column, "") for row in rows]  # an unused column may be absent
+        if column == key:
+            columns[column] = np.array([tables.setdefault(text, len(tables)) for text in texts],
+                                       np.intp)
+        elif column in unused:
+            columns[column] = np.array(texts, object)
+        else:
+            columns[column], bad[column] = _parse_cells(  # Python ints, exact past int64
+                texts, *((float, math.nan, float) if column == value_column else (int, 0, object)))
+    return list(tables) if key else [None], columns, lines.__getitem__, bad, stop
 
 
 # ---------------------------------------------------------------- population

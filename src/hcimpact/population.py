@@ -125,14 +125,15 @@ def project_population(
     n = grid.n_cohorts
     counts = np.zeros((n, last + 1))
     counts[:, 0] = initial
-    for i in range(last):
-        cur = counts[:, i]
-        surv = cur * (1.0 - mortality.death_prob[:, i])
-        nxt = np.zeros(n)
-        nxt[1:] = surv[:-1]
-        nxt[-1] += surv[-1]  # open-ended cohort accumulates its own survivors
-        nxt[0] = births.annual_rate * cur.sum() * 5.0
-        counts[:, i + 1] = nxt
+    with np.errstate(over="ignore", invalid="ignore"):  # PopulationPath rejects inf and nan
+        for i in range(last):
+            cur = counts[:, i]
+            surv = cur * (1.0 - mortality.death_prob[:, i])
+            nxt = np.zeros(n)
+            nxt[1:] = surv[:-1]
+            nxt[-1] += surv[-1]  # open-ended cohort accumulates its own survivors
+            nxt[0] = births.annual_rate * cur.sum() * 5.0
+            counts[:, i + 1] = nxt
 
     path_grid = CohortGrid(grid.cohort_starts, grid.dates[: last + 1])
     name = scenario if scenario is not None else births.name

@@ -635,3 +635,42 @@ def test_no_subcommand_imports_numpy_ma(tmp_path, data_dir, command):
                               f"from hcimpact.cli import main; status = main({argv!r}); "
                               "print(status, 'numpy.ma' in sys.modules and not had)")
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_subnormal_gdp_exits_2_under_warnings_as_errors(tmp_path, data_dir, command):
+    # 1e-320 passes "GDP must be positive", but a share of it overflows to inf.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    gdp = bundle / "gdp.csv"
+    gdp.write_text(re.sub(r"(?m)^2015,.*$", "2015,1e-320", gdp.read_text()))
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", command,
+                              "--manifest", str(bundle / "manifest.txt"), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the share of GDP 1e-320 EUR millions is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("certain_death", [False, True])
+def test_huge_birth_rate_exits_2_under_warnings_as_errors(tmp_path, data_dir, certain_death):
+    # The births overflow to inf; with a death probability of 1, inf x 0 is nan.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    if certain_death:
+        mortality = bundle / "mortality.csv"
+        header, *rows = mortality.read_text().splitlines()
+        at = header.split(",").index("pd_5yr")
+        rows = [row.split(",") for row in rows]
+        for row in rows:
+            row[at] = "1" if row[1] == "5" else row[at]
+        mortality.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    manifest = bundle / "manifest.txt"
+    manifest.write_text(re.sub(r"(?m)^project\.birth_rates = .*$",
+                               "project.birth_rates = 1e300,0.013", manifest.read_text()))
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", "project",
+                              "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: head-counts must be finite and >= 0\n"
+    assert not out.exists()

@@ -861,3 +861,54 @@ def test_columnar_pass_memory_stays_linear_in_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# Files np.loadtxt accepts that each fail one check. The block parser reads each
+# once: the checks name the reference reader's line without the row parser.
+_MORTALITY_HEADER = "date,cohort_lo,cohort_hi,pd_5yr,life_expectancy"
+_CHECKED_FILES = {
+    "empty id": ("population", _with_cell("scenario", "")),
+    "off-bin cohort": ("population", _with_cell("cohort_hi", "11")),
+    "off-grid cost cohort": ("cost_profiles", "A,0,4,1\nA,5,9,2\nA,15,19,3\nA,10,14,4\n"),
+    **{f"value {text}": ("population", _with_cell("count_thousands", text))
+       for text in ("nan", "inf", "-1")},
+    **{f"life_expectancy {text}": ("mortality", f"2010,0,4,0.01,80\n2010,5,9,0.02,{text}\n")
+       for text in ("abc", "inf")},
+    "duplicate cell": ("population", "\n".join(_POPULATION_ROWS + _POPULATION_ROWS[2:3]) + "\n"),
+    "missing cell": ("population", "\n".join(_POPULATION_ROWS[:-1]) + "\n"),
+}
+_HEADERS = {"population": _POPULATION_HEADER, "mortality": _MORTALITY_HEADER, **_EDGE_HEADERS}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED_FILES))
+def test_a_failed_check_reads_the_file_once(tmp_path, monkeypatch, name):
+    kind, rows = _CHECKED_FILES[name]
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path / "table.csv"
+    f.write_text(f"{_HEADERS[kind]}\n{rows}")
+    want = _outcome(reference, f)
+    assert isinstance(want, str)
+    monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
+    assert _outcome(reader, f) == want
+
+
+# A row with more fields than the header, or a read error (a field over the csv
+# limit, a byte that does not decode past the first buffer the decoder fills),
+# ends the row parser's reading. It comes after the failed checks of the rows
+# before it, as in the reference, which reads and checks row by row.
+_VALID_ROWS = "".join(f"S{i},2010,0,4,1\n" for i in range(2000))
+_READ_ERROR_FILES = {
+    "field limit after an off-bin cohort":
+        f"X,2010,0,5,1\n{'Y' * (csv.field_size_limit() + 1)},2010,0,4,1\n".encode(),
+    "bad byte after an empty id": f",2010,0,4,1\n{_VALID_ROWS}".encode() + b"X,2010,0,4,\xff\n",
+    "bad byte after a quoted row": f'"X",2010,0,4,1\n{_VALID_ROWS}'.encode() + b"\xff\n",
+    "long row after an empty id": b",2010,0,4,1\nX,2010,5,9,2,7\n",
+    "long row before an empty id": b"X,2010,5,9,2,7\n,2010,0,4,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_ERROR_FILES))
+def test_a_read_error_follows_the_checks_of_earlier_rows(tmp_path, name):
+    f = tmp_path / "table.csv"
+    f.write_bytes(_POPULATION_HEADER.encode() + b"\n" + _READ_ERROR_FILES[name])
+    _assert_same_outcome(_population, _reference_population, f)
