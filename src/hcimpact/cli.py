@@ -17,14 +17,13 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import evaluate_model
-from .impact import impact_row, parse_selector, sensitivity_grid
-from .manifest import RunManifest, parse_manifest
+from .impact import impact_row, sensitivity_grid
+from .manifest import SCHEMA, RunManifest, parse_manifest
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
 
@@ -33,18 +32,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _config_echo(manifest: RunManifest, config, rf: float) -> list[str]:
-    """Every field of ``config``, then the settings the inputs were loaded with."""
-    labor, policy = manifest.risk_settings()
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
-    values.update(unemployment_rate=labor.unemployment_rate, envelope_policy=policy)
-    lines = [
-        f"scenario.{key} = {v if isinstance(v, (str, int)) else io.fmt_value(v)}"
-        for key, v in values.items()
-    ]
-    return lines + [f"resolved rescaling factor = {io.fmt_value(rf)}"]
 
 
 def _eur(value: float, gdp_pct: float) -> str:
@@ -72,22 +59,18 @@ def _add_output(files, sources, name: str, content: str, source: str) -> None:
 
 def _build_project(manifest: RunManifest, fmt: str):
     populations, mortality = manifest.load_populations()
-    names = manifest.get_list("project.scenarios")
-    rates = manifest.get_list("project.birth_rates")
+    names = manifest.value("project.scenarios")
+    rates = manifest.value("project.birth_rates")
     if len(names) != len(rates):
-        raise ValidationError(
-            f"{manifest.source}: project.scenarios and project.birth_rates "
-            "must list the same number of items"
-        )
-    initial_id = manifest.require("project.initial")
+        raise ValidationError(f"{manifest.source}: project.scenarios and project.birth_rates "
+                              "must list the same number of items")
+    initial_id = manifest.value("project.initial")
     if initial_id not in populations:
-        raise ValidationError(
-            f"unknown initial population scenario {initial_id!r}; valid ids: "
-            f"{', '.join(sorted(populations))}"
-        )
-    horizon = manifest.number("project.horizon", mortality.grid.dates[-1], int)
+        manifest.fail("project.initial", f"unknown initial population scenario {initial_id!r}; "
+                      f"valid ids: {', '.join(sorted(populations))}")
+    horizon = manifest.value("project.horizon")
     try:
-        mortality.grid.date_index(horizon)
+        mortality.grid.date_index(mortality.grid.dates[-1] if horizon is None else horizon)
     except ValidationError as exc:
         manifest.fail("project.horizon", str(exc))
 
@@ -95,35 +78,20 @@ def _build_project(manifest: RunManifest, fmt: str):
     sources: dict[str, str] = {}
     stdout = []
     initial = populations[initial_id].counts[:, 0]
-    for name, rate_text in zip(names, rates):
-        try:
-            rate = float(rate_text)
-        except ValueError:
-            raise ValidationError(
-                f"{manifest.source}: birth rate {rate_text!r} is not a number"
-            ) from None
-        projected = project_population(
-            initial,
-            mortality,
-            BirthRateScenario(name=name, annual_rate=rate),
-            horizon=horizon,
-            scenario=name,
-        )
+    for name, rate in zip(names, rates):
+        projected = project_population(initial, mortality, BirthRateScenario(name, rate),
+                                       horizon=horizon, scenario=name)
         if fmt == "table":
             grid = projected.grid
             headers = ["cohort"] + [str(d) for d in grid.dates]
-            rows = [
-                [grid.cohort_label(i)] + list(projected.counts[i, :])
-                for i in range(grid.n_cohorts)
-            ]
+            rows = [[grid.cohort_label(i)] + list(projected.counts[i, :])
+                    for i in range(grid.n_cohorts)]
             output = f"population_{name}.txt", render_table(headers, rows)
         else:
             output = f"population_{name}.csv", io.population_csv_text([projected])
         _add_output(files, sources, *output, "project.scenarios")
-        stdout.append(
-            f"projected {name}: birth rate {io.fmt_value(rate)}, "
-            f"{projected.grid.n_cohorts} cohorts x {projected.grid.n_dates} dates"
-        )
+        stdout.append(f"projected {name}: birth rate {io.fmt_value(rate)}, "
+                      f"{projected.grid.n_cohorts} cohorts x {projected.grid.n_dates} dates")
     return files, stdout
 
 
@@ -132,7 +100,8 @@ def _impact_inputs(manifest: RunManifest):
     inputs = manifest.load_inputs()
     config = manifest.scenario_config()
     if config.shock_date not in inputs.params.gdp:
-        raise ValidationError(f"GDP path does not cover the shock date {config.shock_date}")
+        manifest.fail("scenario.shock_date", f"{manifest.file('data.gdp')}: GDP path does not "
+                      f"cover the shock date {config.shock_date}")
     return inputs, config
 
 
@@ -164,8 +133,11 @@ def _build_impact(manifest: RunManifest, fmt: str):
     else:
         files["expenditure.csv"] = io.expenditure_csv_text([base_path])
 
-    stdout = _config_echo(manifest, config, row.rf)
+    # the resolved scenario.* keys, in the order of the manifest schema
+    stdout = [f"{key} = {v if isinstance(v, (str, int)) else io.fmt_value(v)}"
+              for key in SCHEMA if key.startswith("scenario.") for v in [manifest.value(key)]]
     stdout += [
+        f"resolved rescaling factor = {io.fmt_value(row.rf)}",
         f"crimi = {_eur(result.crimi, result.crimi_gdp_pct)}",
         f"criui = {_eur(result.criui, result.criui_gdp_pct)}",
         f"cri = {_eur(result.cri, result.cri_gdp_pct)}",
@@ -175,12 +147,8 @@ def _build_impact(manifest: RunManifest, fmt: str):
 
 def _build_sensitivity(manifest: RunManifest, fmt: str):
     inputs, base = _impact_inputs(manifest)
-    models = manifest.get_list("sensitivity.models")
-    pops = manifest.get_list("sensitivity.populations")
-    rr_values = [parse_selector(s) for s in manifest.get_list("sensitivity.rr_values")]
-    rf_values = [parse_selector(s) for s in manifest.get_list("sensitivity.rf_values")]
-
-    grid = sensitivity_grid(base, inputs, rr_values, rf_values, models, pops)
+    grid = sensitivity_grid(base, inputs, *(manifest.value(f"sensitivity.{axis}") for axis in
+                                            ("rr_values", "rf_values", "models", "populations")))
 
     cri = grid.cri.ravel()  # argmin/argmax take the first extreme cell, as min/max did
     lo, hi = grid[int(cri.argmin())].result, grid[int(cri.argmax())].result

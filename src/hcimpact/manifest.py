@@ -2,51 +2,114 @@
 
 Format: one ``key = value`` pair per line, ``#`` comments, nested
 structure expressed with dotted keys. Relative paths resolve against the
-manifest's directory. All referenced input files are located and parsed
-before any computation starts; nothing is written if any of them fails
-validation.
+manifest's directory. :data:`SCHEMA` declares every key once, with its
+parser and default; every value present is parsed before any data file
+is read, and nothing is written if any input fails validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
 from . import io
 from .errors import ValidationError
-from .expenditure import ModelParameters
+from .expenditure import MODELS, ModelParameters
 from .impact import ScenarioConfig, ScenarioInputs, parse_selector
 from .population import MortalityTable, PopulationPath
 from .relative_risk import ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
 
-__all__ = ["RunManifest", "parse_manifest"]
+__all__ = ["KNOWN_KEYS", "SCHEMA", "RunManifest", "parse_manifest"]
 
-#: data.* keys a full impact evaluation needs.
-IMPACT_DATA_KEYS = (
-    "data.population",
-    "data.mortality",
-    "data.rr_mortality",
-    "data.rr_utilization_lower",
-    "data.rr_utilization_upper",
-    "data.cost_profiles",
-    "data.ds_ratios",
-    "data.shares",
-    "data.gdp",
-)
 
-#: Every key a subcommand reads. The subcommands share one manifest, so a
-#: key that none of them reads is a typo, and :func:`parse_manifest` rejects it.
-KNOWN_KEYS = frozenset(IMPACT_DATA_KEYS + (
-    "scenario.population", "scenario.model", "scenario.cost_profile", "scenario.ds_scenario",
-    "scenario.rr_selection", "scenario.rf_selection", "scenario.shock_date",
-    "scenario.unemployment_rate", "scenario.envelope_policy",
-    "params.utilization", "params.health_improvement_rate",
-    "project.scenarios", "project.birth_rates", "project.initial", "project.horizon",
-    "sensitivity.models", "sensitivity.populations", "sensitivity.rr_values",
-    "sensitivity.rf_values", "report.files",
-))
+# Each parser takes the stripped text of a value and returns the value, or
+# raises a ValidationError with the problem; RunManifest.value names the key.
+
+def _problem(text: str) -> NoReturn:
+    raise ValidationError(text)
+
+
+def _text(text: str) -> str:
+    return text or _problem("has no value")
+
+
+def _items(text: str) -> list[str]:
+    return [item for item in map(str.strip, text.split(",")) if item] or _problem("lists no items")
+
+
+def _list(parse):
+    return lambda text: [parse(item) for item in _items(text)]
+
+
+def _parsed(kind: type, text):
+    try:
+        return kind(text)
+    except ValueError:
+        _problem(f"{text!r} is not {'an integer' if kind is int else 'a number'}")
+
+
+_integer, _float = partial(_parsed, int), partial(_parsed, float)
+
+
+def _number(text) -> float:
+    """A finite number >= 0."""
+    v = _float(text)
+    return v if math.isfinite(v) and v >= 0.0 else _problem(f"must be finite and >= 0, got {v}")
+
+
+def _one_of(noun: str, choices: tuple[str, ...]):
+    valid = ", ".join(choices)
+    return lambda text: text if text in choices else _problem(
+        f"unknown {noun} {text!r}; valid: {valid}")
+
+
+def _selector(text: str) -> str | float:
+    """A bound name, or a uniform number that is finite and >= 0."""
+    sel = parse_selector(text)
+    return sel if isinstance(sel, str) else _number(sel)
+
+
+_REQUIRED = object()  # the default of a key that has none
+
+#: Every key a subcommand reads: ``key: (parse, default)``. The subcommands
+#: share one manifest, so a key outside this table is a typo, and
+#: :func:`parse_manifest` rejects it. ``impact`` echoes the ``scenario.*``
+#: keys in this order.
+SCHEMA = {
+    "data.population": (_items, _REQUIRED),
+    "data.mortality": (_text, _REQUIRED),
+    "data.rr_mortality": (_text, _REQUIRED),
+    "data.rr_utilization_lower": (_text, _REQUIRED),
+    "data.rr_utilization_upper": (_text, _REQUIRED),
+    "data.cost_profiles": (_text, _REQUIRED),
+    "data.ds_ratios": (_text, _REQUIRED),
+    "data.shares": (_text, _REQUIRED),
+    "data.gdp": (_text, _REQUIRED),
+    "scenario.population": (_text, _REQUIRED),
+    "scenario.model": (_one_of("model", MODELS), _REQUIRED),
+    "scenario.cost_profile": (_text, _REQUIRED),
+    "scenario.ds_scenario": (_text, _REQUIRED),
+    "scenario.rr_selection": (_selector, "upper"),
+    "scenario.rf_selection": (_selector, "upper"),
+    "scenario.shock_date": (_integer, 2015),
+    "scenario.unemployment_rate": (lambda t: LaborMarketState(_float(t)).unemployment_rate, 0.10),
+    "scenario.envelope_policy": (_one_of("policy", ENVELOPE_POLICIES), "population_level"),
+    "params.utilization": (_number, 1.0),
+    "params.health_improvement_rate": (_number, 0.25),
+    "project.scenarios": (_items, _REQUIRED),
+    "project.birth_rates": (_list(_number), _REQUIRED),
+    "project.initial": (_text, _REQUIRED),
+    "project.horizon": (_integer, None),  # None: the last date of the mortality grid
+    "sensitivity.models": (_list(_one_of("model", MODELS)), _REQUIRED),
+    "sensitivity.populations": (_items, _REQUIRED),
+    "sensitivity.rr_values": (_list(_selector), _REQUIRED),
+    "sensitivity.rf_values": (_list(_selector), _REQUIRED),
+    "report.files": (_items, _REQUIRED),
+}
+KNOWN_KEYS = frozenset(SCHEMA)
 
 
 @dataclass
@@ -56,69 +119,37 @@ class RunManifest:
     source: Path
     values: dict[str, str] = field(default_factory=dict)
 
-    # -------------------------------------------------------------- accessors
-
     def fail(self, key: str, problem: str) -> NoReturn:
         raise ValidationError(f"{self.source}: key {key!r}: {problem}") from None
 
-    def require(self, key: str) -> str:
-        if key not in self.values:
+    def value(self, key: str):
+        """The value of ``key`` parsed by its :data:`SCHEMA` entry, or its default."""
+        parse, default = SCHEMA[key]
+        if key in self.values:
+            try:
+                return parse(self.values[key])
+            except ValidationError as exc:
+                self.fail(key, str(exc))
+        if default is _REQUIRED:
             raise ValidationError(f"{self.source}: manifest is missing key {key!r}")
-        return self.values[key]
-
-    def number(self, key: str, default, kind: type = float):
-        """The value of ``key`` parsed as ``kind`` (float or int), or ``default``."""
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return kind(raw)
-        except ValueError:
-            self.fail(key, f"{raw!r} is not {'an integer' if kind is int else 'a number'}")
-
-    def nonnegative(self, key: str, default: float) -> float:
-        """The value of ``key`` as a finite number >= 0, or ``default``."""
-        v = self.number(key, default)
-        if not math.isfinite(v) or v < 0.0:
-            self.fail(key, f"must be finite and >= 0, got {v}")
-        return v
+        return default
 
     def get_list(self, key: str) -> list[str]:
-        raw = self.require(key)
-        items = [item.strip() for item in raw.split(",") if item.strip()]
-        if not items:
-            raise ValidationError(f"{self.source}: key {key!r} lists no items")
-        return items
+        """The items listed under ``key``, as raw strings (parsed by :meth:`value` first)."""
+        self.value(key)
+        return _items(self.values[key])
+
+    def file(self, key: str) -> Path:
+        """The file named under ``key``, resolved against the manifest."""
+        return self.source.parent / self.value(key)
 
     def paths(self, key: str) -> list[Path]:
         """The files listed under ``key``; relative ones resolve against the manifest."""
-        return [self.source.parent / item for item in self.get_list(key)]
-
-    # ---------------------------------------------------------- scenario glue
-
-    def risk_settings(self) -> tuple[LaborMarketState, str]:
-        """Unemployment rate and envelope policy: applied when risks are loaded."""
-        rate = self.number("scenario.unemployment_rate", 0.10)
-        try:
-            labor = LaborMarketState(rate)
-        except ValidationError as exc:
-            self.fail("scenario.unemployment_rate", str(exc))
-        policy = self.values.get("scenario.envelope_policy", "population_level")
-        if policy not in ENVELOPE_POLICIES:
-            valid = ", ".join(ENVELOPE_POLICIES)
-            self.fail("scenario.envelope_policy", f"unknown policy {policy!r}; valid: {valid}")
-        return labor, policy
+        return [self.source.parent / item for item in self.value(key)]
 
     def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            population=self.require("scenario.population"),
-            model=self.require("scenario.model"),
-            cost_profile=self.require("scenario.cost_profile"),
-            ds_scenario=self.require("scenario.ds_scenario"),
-            rr_selection=parse_selector(self.values.get("scenario.rr_selection", "upper")),
-            rf_selection=parse_selector(self.values.get("scenario.rf_selection", "upper")),
-            shock_date=self.number("scenario.shock_date", 2015, int),
-        )
+        return ScenarioConfig(**{f.name: self.value(f"scenario.{f.name}")
+                                 for f in fields(ScenarioConfig)})
 
     def load_populations(self) -> tuple[dict[str, PopulationPath], MortalityTable]:
         """The population scenarios and the mortality table, on one grid.
@@ -137,54 +168,47 @@ class RunManifest:
                 elif path_obj.grid != grid:
                     raise ValidationError(f"{p}: population grids differ across files")
 
-        mortality = io.read_mortality_csv(self.source.parent / self.require("data.mortality"))
+        path = self.file("data.mortality")
+        mortality = io.read_mortality_csv(path)
         if mortality.grid != grid:
-            raise ValidationError("mortality table grid differs from the population grid")
+            raise ValidationError(f"{path}: mortality table grid differs from the population grid")
         return populations, mortality
 
     def load_inputs(self) -> ScenarioInputs:
         """Parse every data input and assemble the scenario bundle.
 
-        Undiluted risks are diluted with the manifest's unemployment rate
-        and the mortality envelope is built with its envelope policy
-        (:meth:`risk_settings`). Fail-fast: any missing file or schema
-        violation raises before the caller computes or writes anything.
+        Undiluted risks are diluted with ``scenario.unemployment_rate`` and
+        the mortality envelope is built with ``scenario.envelope_policy``.
+        Fail-fast: any missing file or schema violation raises before the
+        caller computes or writes anything.
         """
-        files = {key: self.source.parent / self.require(key) for key in IMPACT_DATA_KEYS}
-        labor, policy = self.risk_settings()
-        utilization = self.nonnegative("params.utilization", 1.0)
-        health_improvement_rate = self.nonnegative("params.health_improvement_rate", 0.25)
+        files = {key: self.file(key) for key in SCHEMA
+                 if key.startswith("data.") and key != "data.population"}
+        labor = LaborMarketState(self.value("scenario.unemployment_rate"))
         populations, mortality = self.load_populations()
         grid = mortality.grid
-
         records = io.read_rr_mortality_csv(files["data.rr_mortality"])
-        rr_mortality = build_rr_envelope(records, labor, grid, policy=policy)
-        rr_utilization = {
-            bound: io.read_rr_utilization_csv(files[f"data.rr_utilization_{bound}"], labor)
-            for bound in ("lower", "upper")
-        }
-        cost_profiles = io.read_cost_profiles_csv(files["data.cost_profiles"], grid)
-        ds_profiles = io.read_ds_ratios_csv(files["data.ds_ratios"], grid)
-        shares = io.read_shares_csv(files["data.shares"])
-        params = ModelParameters(
-            utilization=utilization,
-            health_improvement_rate=health_improvement_rate,
-            gdp=io.read_gdp_csv(files["data.gdp"]),
-        )
         return ScenarioInputs(
-            grid=grid,
-            populations=populations,
-            mortality=mortality,
-            rr_mortality=rr_mortality,
-            rr_utilization=rr_utilization,
-            cost_profiles=cost_profiles,
-            ds_profiles=ds_profiles,
-            shares=shares,
-            params=params,
+            grid=grid, populations=populations, mortality=mortality,
+            rr_mortality=build_rr_envelope(records, labor, grid,
+                                           policy=self.value("scenario.envelope_policy")),
+            rr_utilization={
+                bound: io.read_rr_utilization_csv(files[f"data.rr_utilization_{bound}"], labor)
+                for bound in ("lower", "upper")
+            },
+            cost_profiles=io.read_cost_profiles_csv(files["data.cost_profiles"], grid),
+            ds_profiles=io.read_ds_ratios_csv(files["data.ds_ratios"], grid),
+            shares=io.read_shares_csv(files["data.shares"]),
+            params=ModelParameters(
+                utilization=self.value("params.utilization"),
+                health_improvement_rate=self.value("params.health_improvement_rate"),
+                gdp=io.read_gdp_csv(files["data.gdp"]),
+            ),
         )
 
 
 def parse_manifest(path) -> RunManifest:
+    """Read a manifest and parse every value in it, before any data file is read."""
     source = Path(path)
     with io.open_text(source) as fh:
         text = fh.read()
@@ -209,4 +233,7 @@ def parse_manifest(path) -> RunManifest:
         if key in values:
             raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = value
-    return RunManifest(source=source, values=values)
+    manifest = RunManifest(source=source, values=values)
+    for key in values:
+        manifest.value(key)
+    return manifest

@@ -674,3 +674,94 @@ def test_huge_birth_rate_exits_2_under_warnings_as_errors(tmp_path, data_dir, ce
     assert proc.returncode == 2
     assert proc.stderr == "error: head-counts must be finite and >= 0\n"
     assert not out.exists()
+
+
+def _set_manifest_value(manifest: Path, key: str, value: str) -> None:
+    text, n = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", manifest.read_text())
+    assert n == 1, key
+    manifest.write_text(text)
+
+
+@pytest.mark.parametrize("command", ["project", "impact", "sensitivity"])
+@pytest.mark.parametrize("key, value, problem", [
+    ("sensitivity.rr_values", "nan,upper", "must be finite and >= 0, got nan"),
+    ("sensitivity.models", "CH,XX", "unknown model 'XX'; valid: PD, CH, DC"),
+    ("sensitivity.rf_values", "-1,upper", "must be finite and >= 0, got -1.0"),
+    ("project.birth_rates", "x,0.013", "'x' is not a number"),
+    ("project.birth_rates", "-1,0.013", "must be finite and >= 0, got -1.0"),
+    ("scenario.rr_selection", "-2", "must be finite and >= 0, got -2.0"),
+    ("scenario.model", "XX", "unknown model 'XX'; valid: PD, CH, DC"),
+], ids=["rr_nan", "unknown_model_in_list", "rf_negative", "rate_not_a_number", "rate_negative",
+        "rr_selection_negative", "unknown_model"])
+def test_bad_value_names_manifest_and_key_before_any_data_file_is_read(
+    tmp_path, data_dir, command, key, value, problem
+):
+    # Every subcommand checks every value, whether or not it reads the key.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    (bundle / "population.csv").unlink()
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, key, value)
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", command,
+                              "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {manifest}: key {key!r}: {problem}\n"
+    assert not out.exists()
+
+
+def test_mortality_grid_mismatch_names_the_mortality_file(tmp_path, data_dir, capsys):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    mortality = bundle / "mortality.csv"
+    mortality.write_text("".join(line for line in mortality.read_text().splitlines(True)
+                                 if not line.startswith("2060,")))
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {mortality}: mortality table grid differs from the population grid\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_shock_date_off_the_gdp_path_names_manifest_key_and_gdp_file(
+    tmp_path, data_dir, capsys, command
+):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, "scenario.shock_date", "2012")
+    out = tmp_path / "out"
+    assert run_cli(command, "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: key 'scenario.shock_date': {bundle / 'gdp.csv'}: "
+        "GDP path does not cover the shock date 2012\n")
+    assert not out.exists()
+
+
+def test_impact_stdout_on_the_bundled_manifest(tmp_path, data_dir, capsys):
+    assert run_cli("impact", "--manifest", data_dir / "manifest.txt",
+                   "--out", tmp_path / "out") == 0
+    assert capsys.readouterr().out == (
+        "scenario.population = PopMV\n"
+        "scenario.model = DC\n"
+        "scenario.cost_profile = ARC1\n"
+        "scenario.ds_scenario = central\n"
+        "scenario.rr_selection = upper\n"
+        "scenario.rf_selection = upper\n"
+        "scenario.shock_date = 2015\n"
+        "scenario.unemployment_rate = 0.1\n"
+        "scenario.envelope_policy = population_level\n"
+        "resolved rescaling factor = 1.07694\n"
+        "crimi = 191.508 EUR millions (0.0125963% of GDP)\n"
+        "criui = 8960.96 EUR millions (0.589403% of GDP)\n"
+        "cri = 9152.47 EUR millions (0.601999% of GDP)\n"
+    )
+
+
+def test_readme_key_table_lists_every_known_key():
+    readme = (REPO_ROOT / "README.md").read_text()
+    groups = "|".join({key.partition(".")[0] for key in KNOWN_KEYS})
+    keys = re.findall(rf"(?m)^\| `((?:{groups})\.[a-z_]+)` \|", readme)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == KNOWN_KEYS
