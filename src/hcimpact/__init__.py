@@ -23,6 +23,7 @@ from .relative_risk import (
     MortalityRRTable,
     RelativeRisk,
     StudyRecord,
+    StudyRecords,
     UtilizationRRSet,
     apply_mortality_shock,
     build_rr_envelope,
@@ -75,6 +76,7 @@ __all__ = [
     "MortalityRRTable",
     "RelativeRisk",
     "StudyRecord",
+    "StudyRecords",
     "UtilizationRRSet",
     "apply_mortality_shock",
     "build_rr_envelope",

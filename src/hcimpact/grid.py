@@ -3,13 +3,15 @@
 Every table in the engine (populations, mortality, costs, relative risks)
 is indexed by the same grid: contiguous 5-year age cohorts starting at 0
 with an open-ended last cohort, and projection dates at 5-year spacing.
-Every such table stores its values through :func:`frozen_array`.
+Every such table stores its values through :func:`frozen_array`; a file of
+many tables of one kind is read as :class:`Tables`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -99,3 +101,35 @@ def frozen_array(
         raise ValidationError(f"{what} must be finite and {bound}")
     a.setflags(write=False)
     return a
+
+
+T = TypeVar("T")
+
+
+class Tables(Mapping[str, T]):
+    """Tables of one kind on one grid, by id: a read-only mapping.
+
+    ``stack`` holds the tables along its first axis, in the order of
+    ``ids``; it is copied, checked and write-protected once, by
+    :func:`frozen_array`. Each table is built when it is asked for, as
+    ``kind(id, grid, row)`` through its own checked constructor, so the
+    per-table checks run only for the ids a run uses.
+    """
+
+    def __init__(self, kind: type[T], grid: CohortGrid, ids: Sequence[str], stack) -> None:
+        self.kind, self.grid, self.ids = kind, grid, tuple(ids)
+        self._index = {key: i for i, key in enumerate(self.ids)}
+        shape = (len(self.ids), *np.shape(stack)[1:])
+        self.stack = frozen_array(stack, shape, f"{kind.__name__} stack")
+
+    def __getitem__(self, key: str) -> T:
+        return self.kind(key, self.grid, self.stack[self._index[key]])
+
+    def __contains__(self, key) -> bool:
+        return key in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)

@@ -112,7 +112,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioInputs:
-    """Resolved data bundle the estimators draw from."""
+    """Resolved data bundle the estimators draw from.
+
+    The populations, cost profiles and D/S profiles are read-only
+    mappings by id; as loaded from files they are
+    :class:`~hcimpact.grid.Tables`, which build each object when it is
+    looked up, so only the ids a run uses are built and checked.
+    """
 
     grid: CohortGrid
     populations: Mapping[str, PopulationPath]

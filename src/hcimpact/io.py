@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grid import COHORT_WIDTH, CohortGrid
+from .grid import COHORT_WIDTH, CohortGrid, Tables
 from .expenditure import CostProfile, DSRatioProfile, ExpenditurePath, ExpenditureShares
 from .impact import GridResult, GridRow, gdp_share_pct
 from .population import MortalityTable, PopulationPath
@@ -29,6 +29,7 @@ from .relative_risk import (
     LaborMarketState,
     RelativeRisk,
     StudyRecord,
+    StudyRecords,
     UtilizationRRSet,
     dilute_relative_risk,
 )
@@ -203,11 +204,12 @@ _BLOCK_LINES = 4096
 
 
 def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None, unused=()):
-    """The one reader of cohort-indexed tables: the grid and ``{id: values}``.
+    """The one reader of cohort-indexed tables: ``(grid, ids, values)``,
+    ``values`` the tables stacked in the order of ``ids``.
 
     ``key`` is the id column of a file of several tables (messages call an
     id by the column name without ``_id``), or None for a file of one,
-    stored under id None. Without a ``grid`` the file has a ``date``
+    whose id is None. Without a ``grid`` the file has a ``date``
     column, the grid is read from its cells and each table is a
     ``(cohorts, dates)`` array; with one, each table is one value per
     cohort of ``grid``. A value is valid when finite and within the closed
@@ -228,12 +230,10 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     what = key and key.removesuffix("_id")
     required = ((key,) if key else ()) + (("date",) if dated else ()) + (
         "cohort_lo", "cohort_hi", value_column)
-    with _open_table(path, required, unused) as (header, reader, fh):
-        try:
-            parsed = _read_cohort_blocks(fh, header, reader.line_num, value_column, key, unused)
-        except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
-            parsed = None
-    ids, columns, line, bad, stop = parsed or _read_cohort_rows(
+    dtypes = {column: object if column == key or column in unused else
+              float if column == value_column else np.int64 for column in (*required, *unused)}
+    parsed = _read_columns(path, required, unused, dtypes, key)
+    ids, columns, line, bad, stop = (*parsed, {}, None) if parsed else _read_cohort_rows(
         path, required, value_column, key, unused)
     value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
     n = len(value)
@@ -298,7 +298,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     values = np.empty(size)
     values[cell] = value
     shape = (len(ids), grid.n_cohorts) + ((grid.n_dates,) if dated else ())
-    return grid, dict(zip(ids, values.reshape(shape)))
+    return grid, ids, values.reshape(shape)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -307,21 +307,32 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
-def _read_cohort_blocks(fh, header, header_end, value_column, key, unused):
-    """The data lines of ``fh``, after line ``header_end``, parsed as
-    :func:`_read_cohort_rows` parses them; None for text loadtxt refuses.
+def _read_columns(path, required, optional, dtypes, key=None):
+    """The data of a file with a valid header, as :func:`_read_cohort_blocks`
+    parses it, or None where it refuses the text or a cell."""
+    with _open_table(path, required, optional) as (header, reader, fh):
+        try:
+            return _read_cohort_blocks(fh, header, reader.line_num, dtypes, key)
+        except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
+            return None
 
-    ``np.loadtxt`` parses each block of :data:`_BLOCK_LINES` lines, the id
-    and ``unused`` cells as text, values as floats and the rest as int64;
-    it takes a strict subset of what ``int`` and ``float`` take and raises
+
+def _read_cohort_blocks(fh, header, header_end, dtypes, key=None):
+    """The data lines of ``fh``, after line ``header_end``, as ``(ids,
+    columns, line)`` (see :func:`_read_cohort_rows`); None for text loadtxt
+    refuses.
+
+    ``np.loadtxt`` parses each block of :data:`_BLOCK_LINES` lines, each
+    column as its dtype in ``dtypes``: object (text), float or int64. It
+    takes a strict subset of what ``int`` and ``float`` take and raises
     ``ValueError`` or warns on any other cell or row width. It splits like
     ``csv`` only lines without a quote, CR or NUL and no longer than a
     ``csv`` field may be: a block with another line returns None. Of the
     text, only the numbers of the empty lines (which loadtxt and ``csv``
-    skip) are kept, to find the line of a row.
+    skip) are kept, to find the line of a row. The cells of the id column
+    ``key`` become table numbers, as in :func:`_read_cohort_rows`.
     """
-    dtype = np.dtype([(column, object if column == key or column in unused else
-                       float if column == value_column else np.int64) for column in header])
+    dtype = np.dtype([(column, dtypes[column]) for column in header])
     tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
     # The columns of each block, after the empty ones a file without data lines returns.
     kept = [{c: np.empty(0, np.intp if c == key else dtype[c]) for c in header}]
@@ -357,7 +368,7 @@ def _read_cohort_blocks(fh, header, header_end, value_column, key, unused):
 
     # Each column's blocks are let go as it is joined: one column at a time is held twice.
     columns = {column: np.concatenate([block.pop(column) for block in kept]) for column in header}
-    return list(tables), columns, line_of, {}, None
+    return list(tables), columns, line_of
 
 
 def _parse_cells(texts, convert, stand_in, dtype):
@@ -408,12 +419,11 @@ def _read_cohort_rows(path, required, value_column, key, unused):
 
 # ---------------------------------------------------------------- population
 
-def read_population_csv(path) -> dict[str, PopulationPath]:
-    """Parse every scenario of a population file, validating coverage."""
-    grid, counts = _read_cohort_table(
-        path, "count_thousands", (0.0, _MAX), "negative head-count {}", key="scenario",
-    )
-    return {s: PopulationPath(scenario=s, grid=grid, counts=c) for s, c in counts.items()}
+def read_population_csv(path) -> Tables[PopulationPath]:
+    """Every scenario of a population file, validating coverage: a read-only
+    mapping of scenario id to :class:`PopulationPath`, each built on access."""
+    return Tables(PopulationPath, *_read_cohort_table(
+        path, "count_thousands", (0.0, _MAX), "negative head-count {}", key="scenario"))
 
 
 def load_exogenous_path(name: str, source) -> PopulationPath:
@@ -451,11 +461,11 @@ def write_population_csv(paths: Iterable[PopulationPath], out) -> None:
 def read_mortality_csv(path) -> MortalityTable:
     """Parse a mortality table; an optional ``life_expectancy`` column is
     checked to be numeric and otherwise ignored."""
-    grid, tables = _read_cohort_table(
+    grid, _, tables = _read_cohort_table(
         path, "pd_5yr", (0.0, 1.0), "death probability {} outside [0, 1]",
         unused=("life_expectancy",),
     )
-    return MortalityTable(grid=grid, death_prob=tables[None])
+    return MortalityTable(grid=grid, death_prob=tables[0])
 
 
 def mortality_csv_text(table: MortalityTable) -> str:
@@ -469,11 +479,43 @@ def write_mortality_csv(table: MortalityTable, out) -> None:
 
 # ------------------------------------------------------------ relative risks
 
-def read_rr_mortality_csv(path) -> list[StudyRecord]:
-    parsers = {
-        "cohort_lo": _parse_int, "cohort_hi": _parse_int, "rr_lower": _parse_float,
-        "rr_upper": _parse_float, "diluted": _parse_flag, "source_tag": _text,
-    }
+#: Each column of a study-record file: its row parser, and the dtype the
+#: columnar pass reads it as (a flag as text, to be exactly ``0`` or ``1``).
+_STUDY_COLUMNS = {
+    "cohort_lo": (_parse_int, np.int64), "cohort_hi": (_parse_int, np.int64),
+    "rr_lower": (_parse_float, float), "rr_upper": (_parse_float, float),
+    "diluted": (_parse_flag, object), "source_tag": (_text, object),
+}
+
+
+def read_rr_mortality_csv(path) -> StudyRecords:
+    """The study records of a mortality-risk file, as columns: a
+    ``Sequence[StudyRecord]``.
+
+    :func:`_read_cohort_blocks` parses the file. A file it refuses, a flag
+    other than ``0`` or ``1``, or a record :class:`StudyRecords` rejects
+    sends the file to :func:`_read_study_rows`, the one source of the
+    ``file:line`` messages.
+    """
+    dtypes = {column: dtype for column, (_, dtype) in _STUDY_COLUMNS.items()}
+    parsed = _read_columns(path, tuple(_STUDY_COLUMNS), (), dtypes)
+    if parsed:
+        columns = parsed[1]
+        flag = columns["diluted"]
+        if len(flag) and np.all((flag == "0") | (flag == "1")):
+            try:
+                return StudyRecords(
+                    columns["cohort_lo"], columns["cohort_hi"],
+                    np.column_stack((columns["rr_lower"], columns["rr_upper"])), flag == "1",
+                    tuple(map(str.strip, columns["source_tag"].tolist())))
+            except ValidationError:
+                pass  # the row loop names the line
+    return StudyRecords.of(_read_study_rows(path))
+
+
+def _read_study_rows(path) -> list[StudyRecord]:
+    """The study records of a file, read and checked row by row."""
+    parsers = {column: parse for column, (parse, _) in _STUDY_COLUMNS.items()}
     records = []
     for line, values in _read_records(path, parsers):
         try:
@@ -522,20 +564,20 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
 
 # ------------------------------------------------------------ cost machinery
 
-def read_cost_profiles_csv(path, grid: CohortGrid) -> dict[str, CostProfile]:
-    _, values = _read_cohort_table(
+def read_cost_profiles_csv(path, grid: CohortGrid) -> Tables[CostProfile]:
+    """Every profile of a cost file on ``grid``: a read-only mapping of
+    profile id to :class:`CostProfile`, each built on access."""
+    return Tables(CostProfile, *_read_cohort_table(
         path, "eur_per_capita", (0.0, _MAX), "negative per-capita cost {}",
-        key="profile_id", grid=grid,
-    )
-    return {key: CostProfile(key, grid, v) for key, v in values.items()}
+        key="profile_id", grid=grid))
 
 
-def read_ds_ratios_csv(path, grid: CohortGrid) -> dict[str, DSRatioProfile]:
-    _, values = _read_cohort_table(  # math.ulp(0.0) is the least float > 0
+def read_ds_ratios_csv(path, grid: CohortGrid) -> Tables[DSRatioProfile]:
+    """Every scenario of a D/S ratio file on ``grid``: a read-only mapping of
+    scenario id to :class:`DSRatioProfile`, each built on access."""
+    return Tables(DSRatioProfile, *_read_cohort_table(  # math.ulp(0.0) is the least float > 0
         path, "ratio", (math.ulp(0.0), _MAX), "D/S ratio must be > 0, got {}",
-        key="scenario", grid=grid,
-    )
-    return {key: DSRatioProfile(key, grid, v) for key, v in values.items()}
+        key="scenario", grid=grid))
 
 
 def read_shares_csv(path) -> ExpenditureShares:

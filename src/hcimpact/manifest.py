@@ -15,9 +15,12 @@ from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
+import numpy as np
+
 from . import io
 from .errors import ValidationError
 from .expenditure import MODELS, ModelParameters
+from .grid import Tables
 from .impact import ScenarioConfig, ScenarioInputs, parse_selector
 from .population import MortalityTable, PopulationPath
 from .relative_risk import ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
@@ -42,6 +45,17 @@ def _items(text: str) -> list[str]:
 
 def _list(parse):
     return lambda text: [parse(item) for item in _items(text)]
+
+
+def _distinct(parse):
+    """``parse`` of a list whose items differ as parsed (``1.05`` repeats ``1.050``)."""
+    def parse_distinct(text: str) -> list:
+        values = parse(text)
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                _problem(f"{v!r} is listed twice")
+        return values
+    return parse_distinct
 
 
 def _parsed(kind: type, text):
@@ -103,10 +117,10 @@ SCHEMA = {
     "project.birth_rates": (_list(_number), _REQUIRED),
     "project.initial": (_text, _REQUIRED),
     "project.horizon": (_integer, None),  # None: the last date of the mortality grid
-    "sensitivity.models": (_list(_one_of("model", MODELS)), _REQUIRED),
-    "sensitivity.populations": (_items, _REQUIRED),
-    "sensitivity.rr_values": (_list(_selector), _REQUIRED),
-    "sensitivity.rf_values": (_list(_selector), _REQUIRED),
+    "sensitivity.models": (_distinct(_list(_one_of("model", MODELS))), _REQUIRED),
+    "sensitivity.populations": (_distinct(_items), _REQUIRED),
+    "sensitivity.rr_values": (_distinct(_list(_selector)), _REQUIRED),
+    "sensitivity.rf_values": (_distinct(_list(_selector)), _REQUIRED),
     "report.files": (_items, _REQUIRED),
 }
 KNOWN_KEYS = frozenset(SCHEMA)
@@ -151,26 +165,29 @@ class RunManifest:
         return ScenarioConfig(**{f.name: self.value(f"scenario.{f.name}")
                                  for f in fields(ScenarioConfig)})
 
-    def load_populations(self) -> tuple[dict[str, PopulationPath], MortalityTable]:
-        """The population scenarios and the mortality table, on one grid.
+    def load_populations(self) -> tuple[Tables[PopulationPath], MortalityTable]:
+        """The population scenarios of every file, as one read-only mapping
+        (see :func:`hcimpact.io.read_population_csv`), and the mortality
+        table, on one grid.
 
         These are the only inputs a projection reads.
         """
-        populations = {}
-        grid = None
+        populations = None
         for p in self.paths("data.population"):
-            for name, path_obj in io.read_population_csv(p).items():
-                if name in populations:
-                    raise ValidationError(f"{p}: duplicate population scenario {name!r}")
-                populations[name] = path_obj
-                if grid is None:
-                    grid = path_obj.grid
-                elif path_obj.grid != grid:
+            paths = io.read_population_csv(p)
+            if populations is not None:
+                repeated = [name for name in paths if name in populations]
+                if repeated:
+                    raise ValidationError(f"{p}: duplicate population scenario {repeated[0]!r}")
+                if paths.grid != populations.grid:
                     raise ValidationError(f"{p}: population grids differ across files")
+                paths = Tables(PopulationPath, paths.grid, populations.ids + paths.ids,
+                               np.concatenate((populations.stack, paths.stack)))
+            populations = paths
 
         path = self.file("data.mortality")
         mortality = io.read_mortality_csv(path)
-        if mortality.grid != grid:
+        if mortality.grid != populations.grid:
             raise ValidationError(f"{path}: mortality table grid differs from the population grid")
         return populations, mortality
 

@@ -9,14 +9,15 @@ with the unemployment rate:
     effective_rr = 1 + unemployment_rate * (rr - 1)
 
 A per-cohort lower/upper envelope of mortality risks is assembled from
-heterogeneous study records; where source intervals are disjoint, a
-named policy decides which source wins.
+heterogeneous study records, held as columns (:class:`StudyRecords`);
+where source intervals are disjoint, a named policy decides which source
+wins.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "ServiceValues",
     "UtilizationRRSet",
     "StudyRecord",
+    "StudyRecords",
     "dilute_relative_risk",
     "apply_mortality_shock",
     "shock_death_probs",
@@ -234,15 +236,74 @@ class StudyRecord:
             )
 
 
+def _ages(values) -> np.ndarray:
+    """Ages as int64, or as Python ints (exact past int64) where int64 would not hold them."""
+    ages = np.array(values)
+    return ages if ages.dtype.kind == "i" else np.array(values, object)
+
+
+@dataclass(frozen=True, eq=False)
+class StudyRecords(Sequence[StudyRecord]):
+    """Study records as columns: ``age_lo`` and ``age_hi``, ``rr`` (one
+    ``(lower, upper)`` row per record), ``diluted`` and ``source``.
+
+    Each column is copied and write-protected, and every row is checked
+    as :class:`StudyRecord` checks a record: the first bad row raises that
+    record's error. As a sequence it yields one :class:`StudyRecord` per
+    row, built when asked for.
+    """
+
+    age_lo: np.ndarray
+    age_hi: np.ndarray
+    rr: np.ndarray
+    diluted: np.ndarray
+    source: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.source)
+        columns = {"age_lo": _ages(self.age_lo), "age_hi": _ages(self.age_hi),
+                   "rr": np.array(self.rr, dtype=float), "diluted": np.array(self.diluted, bool)}
+        for name, column in columns.items():
+            shape = (n, 2) if name == "rr" else (n,)
+            if column.shape != shape:
+                raise ValidationError(f"study records: {name} has shape {column.shape}, "
+                                      f"expected {shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "source", tuple(self.source))
+        lo, hi = self.rr.T
+        bad = (self.age_lo > self.age_hi) | ~((0.0 <= lo) & (lo <= hi) & np.isfinite(hi))
+        if bad.any():
+            self[int(bad.argmax())]  # builds the first bad record, which raises its error
+
+    @classmethod
+    def of(cls, records: Iterable[StudyRecord]) -> "StudyRecords":
+        """The columns of ``records``."""
+        rs = list(records)
+        return cls([r.age_lo for r in rs], [r.age_hi for r in rs],
+                   np.array([(r.rr_lower, r.rr_upper) for r in rs], dtype=float).reshape(-1, 2),
+                   [r.diluted for r in rs], [r.source for r in rs])
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __getitem__(self, k: int) -> StudyRecord:
+        lower, upper = self.rr[k].tolist()
+        return StudyRecord(self.age_lo.item(k), self.age_hi.item(k), lower, upper,
+                           bool(self.diluted[k]), self.source[k])
+
+
 def build_rr_envelope(
-    records: list[StudyRecord],
+    records: Sequence[StudyRecord],
     labor: LaborMarketState,
     grid: CohortGrid,
     policy: str = "population_level",
 ) -> MortalityRRTable:
     """Assemble the per-cohort mortality-risk envelope from study records.
 
-    All records are first normalized to diluted form. Per cohort, the
+    ``records`` is a :class:`StudyRecords`, or any sequence of
+    :class:`StudyRecord`, which is read into one. All records are first
+    normalized to diluted form. Per cohort, the
     envelope is the intersection of the covering intervals
     (max of lowers, min of uppers). Where the intervals are disjoint the
     ``policy`` decides:
@@ -255,18 +316,19 @@ def build_rr_envelope(
         raise ValidationError(
             f"unknown envelope policy {policy!r}; valid: {', '.join(ENVELOPE_POLICIES)}"
         )
-    if not records:
+    if not isinstance(records, StudyRecords):
+        records = StudyRecords.of(records)
+    if not len(records):
         raise ValidationError("empty record set")
-    starts, w = grid.cohort_starts, labor.unemployment_rate
-    # [first, last) are the cohorts whose start age a record covers; bisect
-    # compares ages of any size
-    first = np.array([bisect_left(starts, r.age_lo) for r in records])
-    last = np.array([bisect_right(starts, r.age_hi) for r in records])
-    diluted = np.array([bool(r.diluted) for r in records])
+    starts, w = np.array(grid.cohort_starts), labor.unemployment_rate
+    # [first, last) are the cohorts whose start age a record covers; ages
+    # past int64 are Python ints, which compare exactly
+    first = np.searchsorted(starts, records.age_lo, "left")
+    last = np.searchsorted(starts, records.age_hi, "right")
+    diluted = records.diluted
     cohort = np.arange(grid.n_cohorts)[:, None]
     covering = (first <= cohort) & (cohort < last)  # (cohorts, records)
-    rr = np.array([(r.rr_lower, r.rr_upper) for r in records], dtype=float)
-    rr = np.where(diluted[:, None], rr, _dilute(rr, w))
+    rr = np.where(diluted[:, None], records.rr, _dilute(records.rr, w))
     lower, upper = (np.broadcast_to(bound, covering.shape) for bound in rr.T)
 
     def intersection(mask):  # max of lowers, min of uppers over each cohort's records

@@ -107,7 +107,7 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
 
     if schema == "population":
         paths = io.read_population_csv(path)
-        grid = next(iter(paths.values())).grid
+        grid = paths.grid
         headers = ["scenario", "cohort"] + [str(d) for d in grid.dates]
         rows = []
         for name, p in paths.items():

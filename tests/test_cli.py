@@ -765,3 +765,26 @@ def test_readme_key_table_lists_every_known_key():
     keys = re.findall(rf"(?m)^\| `((?:{groups})\.[a-z_]+)` \|", readme)
     assert len(keys) == len(set(keys))
     assert set(keys) == KNOWN_KEYS
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("sensitivity.models", "CH,CH", "'CH' is listed twice"),
+    ("sensitivity.populations", "PopMV,PopLV,PopMV", "'PopMV' is listed twice"),
+    ("sensitivity.rr_values", "lower,1.05,1.050", "1.05 is listed twice"),
+    ("sensitivity.rf_values", "upper,lower,upper", "'upper' is listed twice"),
+], ids=["models", "populations", "rr_values", "rf_values"])
+def test_a_repeated_sensitivity_axis_entry_exits_2_before_any_data_file_is_read(
+    tmp_path, data_dir, key, value, problem
+):
+    # A repeat would write each of its cells twice; numbers repeat by value.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    (bundle / "population.csv").unlink()
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, key, value)
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", "sensitivity",
+                              "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {manifest}: key {key!r}: {problem}\n"
+    assert not out.exists()

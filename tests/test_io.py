@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import importlib.util
 import math
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +21,10 @@ from hcimpact import (
     LaborMarketState,
     MortalityTable,
     PopulationPath,
+    StudyRecord,
+    StudyRecords,
     ValidationError,
+    cri,
 )
 from hcimpact import io
 from hcimpact.grid import COHORT_WIDTH, CohortGrid
@@ -912,3 +917,214 @@ def test_a_read_error_follows_the_checks_of_earlier_rows(tmp_path, name):
     f = tmp_path / "table.csv"
     f.write_bytes(_POPULATION_HEADER.encode() + b"\n" + _READ_ERROR_FILES[name])
     _assert_same_outcome(_population, _reference_population, f)
+
+
+# The study-record file: the columnar pass against the row loop it stands in
+# for, ``_read_records`` plus ``StudyRecord``. Each file must give the same
+# records, or fail with the same ``file:line`` message.
+_STUDY_HEADER = "cohort_lo,cohort_hi,rr_lower,rr_upper,diluted,source_tag"
+_STUDY_ROWS = ("0,9,1.0,1.1,1,anchor", "5,14,1.2,1.5,0,study", "10,99,1.05,1.3,1,late")
+
+
+def _reference_study_records(path):
+    parsers = {"cohort_lo": io._parse_int, "cohort_hi": io._parse_int,
+               "rr_lower": io._parse_float, "rr_upper": io._parse_float,
+               "diluted": io._parse_flag, "source_tag": io._text}
+    records = []
+    for line, values in io._read_records(path, parsers):
+        try:
+            records.append(StudyRecord(*values))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{line}: {exc}") from None
+    if not records:
+        raise ValidationError(f"{path}: no data rows")
+    return records
+
+
+def _study_records(path):
+    return list(io.read_rr_mortality_csv(path))
+
+
+def _with_study_cell(column: str, text: str) -> str:
+    """The study rows with ``column`` of the second row set to ``text``."""
+    rows = [r.split(",") for r in _STUDY_ROWS]
+    rows[1][_STUDY_HEADER.split(",").index(column)] = text
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+_STUDY_FILES = {
+    **{f"{column} {text!r}": _with_study_cell(column, text)
+       for column in ("cohort_lo", "cohort_hi") for text in (*_ODD_INTS, "-99999999999999999999")},
+    **{f"diluted {text!r}": _with_study_cell("diluted", text)
+       for text in ("00", "+1", " 1 ", "1.0", "-0", "", "2", "\t0", "1\x1c", "١")},
+    **{f"{column} {text!r}": _with_study_cell(column, text)
+       for column in ("rr_lower", "rr_upper")
+       for text in ("nan", "-nan", "inf", "-inf", "1e400", "-1", "1_0", "١", " 1.25 ", "x")},
+    **{f"source {text!r}": _with_study_cell("source_tag", text)
+       for text in ("", " tag ", "\x85tag ", "a b", "#c")},
+    "ages past int64": _with_study_cell("cohort_lo", "99999999999999999999")
+    .replace(",14,", ",999999999999999999999,"),
+    "inverted age range": _with_study_cell("cohort_hi", "4"),
+    "inverted bounds": _with_study_cell("rr_upper", "1.1"),
+    "quoted cells": "\n".join(",".join(f'"{c}"' for c in r.split(",")) for r in _STUDY_ROWS)
+    + "\n",
+    "CR line ends": "\r\n".join(_STUDY_ROWS) + "\r\n",
+    "a NUL byte": _with_study_cell("source_tag", "st\0udy"),
+    "empty lines": "\n\n" + "\n\n".join(_STUDY_ROWS) + "\n\n",
+    "a block of empty lines": "\n" * 4100 + "\n".join(_STUDY_ROWS) + "\n",
+    "a whitespace-only line": "\n".join((*_STUDY_ROWS[:2], "  ", _STUDY_ROWS[2])) + "\n",
+    "a short row": "\n".join((*_STUDY_ROWS, "0,9,1.0,1.1,1")) + "\n",
+    "a long row": "\n".join((*_STUDY_ROWS, "0,9,1.0,1.1,1,x,y")) + "\n",
+    "no data rows": "",
+    "only empty lines": "\n\n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STUDY_FILES))
+def test_study_records_match_the_row_loop(tmp_path, name):
+    f = tmp_path / "rr.csv"
+    f.write_bytes(f"{_STUDY_HEADER}\n{_STUDY_FILES[name]}".encode())
+    assert _outcome(_study_records, f) == _outcome(_reference_study_records, f)
+
+
+_STUDY_CELLS = {  # each column's cells: valid ones and ones a parser could take differently
+    "cohort_lo": ("0", "5", "007", "-0", "1_0", "1e3", "99999999999999999999", " 5 "),
+    "cohort_hi": ("9", "99", "+14", "١٢", "4", "99999999999999999999"),
+    "rr_lower": ("1.0", "1.25", "0", "-1", "nan", "1e400", "2.5e0"),
+    "rr_upper": ("1.5", "1.3", "inf", "1_0", " 2 ", "3"),
+    "diluted": ("0", "1", "1", "0", "00", "+1", " 1 ", "1.0"),
+    "source_tag": ("a", "", " b ", "c d"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_study_records_match_the_row_loop_on_random_files(tmp_path_factory, data):
+    header = data.draw(st.permutations(list(_STUDY_CELLS)))
+    rows = data.draw(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, 2, 3, 4, 5)),
+                                       min_size=6, max_size=6), max_size=6))
+    lines = [",".join(header)] + [
+        ",".join(_STUDY_CELLS[c][i % len(_STUDY_CELLS[c])] for c, i in zip(header, row))
+        for row in rows]
+    f = tmp_path_factory.mktemp("rr") / "rr.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _outcome(_study_records, f) == _outcome(_reference_study_records, f)
+
+
+def test_study_records_of_regular_files_take_the_columnar_pass(tmp_path, monkeypatch, data_dir):
+    subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "gen.py"), "--seed", "0",
+                    "--out", str(tmp_path)], check=True)
+    files = (data_dir / "rr_mortality.csv", tmp_path / "rr_mortality.csv")
+    want = [_reference_study_records(f) for f in files]
+    monkeypatch.setattr(io, "_read_study_rows", _row_loop_not_used)
+    monkeypatch.setattr(io, "_BLOCK_LINES", 7)  # several blocks per file
+    for f, records in zip(files, want):
+        got = io.read_rr_mortality_csv(f)
+        assert isinstance(got, StudyRecords) and got.age_lo.dtype == np.int64
+        assert list(got) == records
+
+
+def test_study_record_columns_are_read_only(data_dir):
+    records = io.read_rr_mortality_csv(data_dir / "rr_mortality.csv")
+    for column in (records.age_lo, records.age_hi, records.rr, records.diluted):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
+# The per-scenario readers return a read-only mapping that builds each table
+# from one row of a stacked array when it is asked for.
+_MAPPING_READS = {
+    "population": (lambda f: io.read_population_csv(f), "counts", PopulationPath,
+                   "scenario,date,cohort_lo,cohort_hi,count_thousands",
+                   lambda i, lo: [f"{i},{d},{lo},{lo + 4},{lo + 1}" for d in (2010, 2015)]),
+    "cost_profiles": (lambda f: io.read_cost_profiles_csv(f, _COST_GRID), "values", CostProfile,
+                      "profile_id,cohort_lo,cohort_hi,eur_per_capita",
+                      lambda i, lo: [f"{i},{lo},{lo + 4},{lo + 1}"]),
+    "ds_ratios": (lambda f: io.read_ds_ratios_csv(f, _COST_GRID), "values", DSRatioProfile,
+                  "scenario,cohort_lo,cohort_hi,ratio",
+                  lambda i, lo: [f"{i},{lo},{lo + 4},{lo + 1}"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MAPPING_READS))
+def test_per_scenario_mapping_builds_read_only_tables_on_access(tmp_path, kind):
+    read, attr, cls, header, rows = _MAPPING_READS[kind]
+    f = tmp_path / "tables.csv"
+    ids = ("B", "A", "C")  # not sorted: the order is the file's
+    f.write_text("\n".join([header, *(r for i in ids for lo in (0, 5, 10) for r in rows(i, lo))])
+                 + "\n")
+    tables = read(f)
+    assert len(tables) == 3 and list(tables) == list(ids) and list(tables.keys()) == list(ids)
+    assert "A" in tables and "Z" not in tables and None not in tables
+    with pytest.raises(KeyError):
+        tables["Z"]
+    assert tables.stack.flags.writeable is False
+    for key in ids:
+        built = tables[key]
+        assert type(built) is cls and built.grid == tables.grid
+        values = getattr(built, attr)
+        assert values.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = -1.0
+        assert not np.shares_memory(values, tables.stack)
+        values.setflags(write=True)  # the table's own copy: the stack does not change
+        values[...] = -1.0
+        assert np.all(getattr(tables[key], attr) >= 0.0)
+    assert getattr(tables["B"], attr).flat[0] == 1.0
+
+
+def test_unknown_ids_of_the_mappings_give_the_resolver_message(data_dir):
+    manifest = parse_manifest(data_dir / "manifest.txt")
+    inputs, config = manifest.load_inputs(), manifest.scenario_config()
+    for field, what, tables in (("population", "population scenario", inputs.populations),
+                                ("cost_profile", "cost profile", inputs.cost_profiles),
+                                ("ds_scenario", "D/S scenario", inputs.ds_profiles)):
+        with pytest.raises(ValidationError) as exc:
+            cri(dataclasses.replace(config, **{field: "Nope"}), inputs)
+        assert str(exc.value) == f"unknown {what} 'Nope'; valid ids: {', '.join(sorted(tables))}"
+
+
+def _two_population_files(tmp_path, data_dir, second_rows):
+    """A copy of the bundled data whose population is split over two files,
+    the second holding ``second_rows`` of the bundled file."""
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    header, *rows = (bundle / "population.csv").read_text().splitlines()
+    first = [r for r in rows if r.startswith(("PopMV,", "PopHV,"))]
+    (bundle / "population.csv").write_text("\n".join([header, *first]) + "\n")
+    (bundle / "population_b.csv").write_text(
+        "\n".join([header, *(r for r in rows if second_rows(r))]) + "\n")
+    manifest = bundle / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        "data.population = population.csv", "data.population = population.csv,population_b.csv"))
+    return parse_manifest(manifest), bundle / "population_b.csv"
+
+
+def test_two_population_files_read_as_one_mapping(tmp_path, data_dir):
+    manifest, _ = _two_population_files(
+        tmp_path, data_dir, lambda r: r.startswith(("PopLV,", "PopCFV,")))
+    populations, _ = manifest.load_populations()
+    single = io.read_population_csv(data_dir / "population.csv")
+    assert list(populations) == ["PopMV", "PopHV", "PopLV", "PopCFV"]
+    assert populations.grid == single.grid
+    for name in single:
+        assert np.array_equal(populations[name].counts, single[name].counts)
+    want = cri(parse_manifest(data_dir / "manifest.txt").scenario_config(),
+               parse_manifest(data_dir / "manifest.txt").load_inputs())
+    assert cri(manifest.scenario_config(), manifest.load_inputs()) == want
+
+
+def test_two_population_files_with_one_scenario_twice_are_rejected(tmp_path, data_dir):
+    manifest, second = _two_population_files(
+        tmp_path, data_dir, lambda r: r.startswith(("PopLV,", "PopHV,")))
+    with pytest.raises(ValidationError) as exc:
+        manifest.load_populations()
+    assert str(exc.value) == f"{second}: duplicate population scenario 'PopHV'"
+
+
+def test_two_population_files_on_different_grids_are_rejected(tmp_path, data_dir):
+    manifest, second = _two_population_files(
+        tmp_path, data_dir, lambda r: r.startswith("PopLV,") and ",2060," not in r)
+    with pytest.raises(ValidationError) as exc:
+        manifest.load_populations()
+    assert str(exc.value) == f"{second}: population grids differ across files"

@@ -7,6 +7,7 @@ from hcimpact import (
     MortalityTable,
     RelativeRisk,
     StudyRecord,
+    StudyRecords,
     ValidationError,
     apply_mortality_shock,
     build_rr_envelope,
@@ -276,3 +277,53 @@ def test_envelope_matches_reference(records, w, policy, n_cohorts):
         return
     table = build_rr_envelope(*args)
     assert np.array_equal(table.lower, want[0]) and np.array_equal(table.upper, want[1])
+
+
+# Ages a file can hold that int64 cannot: the row loop keeps them as Python ints.
+_AGES = st.one_of(st.integers(-5, 40), st.sampled_from(
+    (2**63 - 1, 2**63, 2**64, 10**30, -(2**63) - 1, -(10**30))))
+
+
+@st.composite
+def _study_record_of_any_age(draw):
+    lo, hi = sorted(draw(st.lists(_AGES, min_size=2, max_size=2)))
+    bounds = sorted(draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2)))
+    return StudyRecord(lo, hi, *bounds, diluted=draw(st.booleans()))
+
+
+@given(
+    records=st.lists(st.one_of(_study_record(), _study_record_of_any_age()), max_size=8),
+    w=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+    policy=st.sampled_from(("population_level", "hull")),
+    n_cohorts=st.integers(1, 6),
+)
+def test_envelope_of_a_list_equals_the_envelope_of_its_columns(records, w, policy, n_cohorts):
+    columns = StudyRecords.of(records)
+    assert list(columns) == records
+    outcomes = []
+    for given_records in (records, columns):
+        try:
+            table = build_rr_envelope(given_records, LaborMarketState(w), grid_of(n_cohorts, 1),
+                                      policy)
+            outcomes.append((table.lower.tobytes(), table.upper.tobytes()))
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    try:
+        want = _reference_envelope(records, LaborMarketState(w), grid_of(n_cohorts, 1), policy)
+        want = (want[0].tobytes(), want[1].tobytes())
+    except ValidationError as exc:
+        want = str(exc)
+    assert outcomes == [want, want]
+
+
+def test_study_records_reject_a_bad_row_with_its_record_error():
+    good = StudyRecord(0, 9, 1.0, 1.1, diluted=True)
+    with pytest.raises(ValidationError, match="^record age range is inverted$"):
+        StudyRecords([0, 9], [9, 4], [[1.0, 1.1], [1.0, 1.1]], [True, True], ["a", "b"])
+    with pytest.raises(ValidationError, match=r"got \[1\.2, 1\.1\]$"):
+        StudyRecords([0, 0], [9, 9], [[1.0, 1.1], [1.2, 1.1]], [True, False], ["a", "b"])
+    with pytest.raises(ValidationError, match="rr has shape"):
+        StudyRecords([0], [9], [1.0, 1.1], [True], ["a"])
+    assert StudyRecords.of([good])[0] == good and StudyRecords.of([good])[-1] == good
+    with pytest.raises(IndexError):
+        StudyRecords.of([good])[1]
