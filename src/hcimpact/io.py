@@ -609,62 +609,82 @@ def read_gdp_csv(path) -> dict[int, float]:
 
 # ------------------------------------------------------------ impact results
 
+def _fmt_values(values: Sequence[float], end: str = "") -> list[str]:
+    """:func:`fmt_value` of every value, each followed by ``end``, in one ``%``
+    call: ``"%.6g" % x`` makes the same conversion as ``format(float(x), ".6g")``."""
+    return ((f"%.6g{end}\0" * len(values)) % tuple(values)).split("\0")[:-1]
+
+
+def _by_bits(values, shape=(-1,)):
+    """The distinct values by float64 bit pattern, so ``-0.0`` and ``0.0``
+    stay apart, and the index into them of each value, shaped ``shape``."""
+    bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
+    unique, inverse = np.unique(bits, return_inverse=True)
+    return unique.view(float), inverse.reshape(shape)
+
+
+def _grid_numbers(grid: GridResult) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_by_bits` of the RFs, ``crimi``, ``criui`` and ``cri`` of ``grid``,
+    each index shaped to broadcast along the (model, population, RR, RF) axes."""
+    m, p, r, f = grid.shape
+    shapes = ((f,), (m, p, r, 1), (m, p, 1, f), grid.shape)
+    return list(map(_by_bits, (grid.rfs, grid.crimi, grid.criui, grid.cri), shapes))
+
+
 def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> list[list]:
     """The :data:`IMPACT_COLUMNS` of every cell, column by column, in row order.
 
     ``number`` maps each numeric column (the RFs, ``crimi``, ``criui``,
     ``cri`` and its GDP share) once per distinct float64 bit pattern, so
-    ``-0.0`` and ``0.0`` stay apart; RR selectors are
-    :func:`selector_text`. Rows outside a :class:`GridResult` are read
-    column by column, each GDP share with its row's own GDP.
+    ``-0.0`` and ``0.0`` stay apart; RR selectors are :func:`selector_text`.
+    A :class:`GridResult` is read along its axes (:func:`_grid_numbers`),
+    other rows column by column, each GDP share with its row's own GDP.
     """
-    def distinct(values):  # the distinct values, by bit pattern, and where each value is in them
-        bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
-        unique, inverse = np.unique(bits, return_inverse=True)
-        return unique.view(float), inverse
-
-    def spread(values, inverse):
-        return np.array(list(map(number, values.tolist())), dtype=object)[inverse].tolist()
-
-    def numbers(values):
-        return spread(*distinct(values))
+    def spread(values, at):  # ``number`` of each distinct value, at ``at``
+        return np.array(list(map(number, values.tolist())), dtype=object)[at]
 
     if not isinstance(rows, GridResult):
         rows = list(rows)
         results = [r.result for r in rows]
-        return [
-            [r.model for r in rows],
-            [r.pop_scenario for r in rows],
-            [selector_text(r.rr_selector) for r in rows],
-            numbers([r.rf for r in rows]),
-            numbers([res.crimi for res in results]),
-            numbers([res.criui for res in results]),
-            numbers([res.cri for res in results]),
-            numbers([res.cri_gdp_pct for res in results]),
-        ]
-    m, p, r, f = shape = rows.shape
-
-    def per_cell(values, at):  # ``values`` shaped ``at``, repeated along the other axes
-        return np.broadcast_to(np.array(values, dtype=object).reshape(at), shape).ravel().tolist()
-
-    # The GDP share is elementwise in one GDP, so equal CRI bits give equal share bits.
-    cri, cri_at = distinct(rows.cri)
-    return [
-        per_cell(rows.models, (m, 1, 1, 1)),
-        per_cell(rows.pop_scenarios, (1, p, 1, 1)),
-        per_cell([selector_text(v) for v in rows.rr_values], (1, 1, r, 1)),
-        per_cell(numbers(rows.rfs), (1, 1, 1, f)),
-        per_cell(numbers(rows.crimi), (m, p, r, 1)),
-        per_cell(numbers(rows.criui), (m, p, 1, f)),
-        spread(cri, cri_at),
-        spread(gdp_share_pct(cri, rows.gdp), cri_at),
-    ]
+        return [[r.model for r in rows], [r.pop_scenario for r in rows],
+                [selector_text(r.rr_selector) for r in rows],
+                *(spread(*_by_bits(values)).tolist() for values in (
+                    [r.rf for r in rows], [res.crimi for res in results],
+                    [res.criui for res in results], [res.cri for res in results],
+                    [res.cri_gdp_pct for res in results]))]
+    numbers = _grid_numbers(rows)
+    cri, cri_at = numbers[-1]  # one GDP: equal CRI bits give equal share bits
+    columns = [np.array(rows.models, dtype=object)[:, None, None, None],
+               np.array(rows.pop_scenarios, dtype=object)[:, None, None],
+               np.array([selector_text(v) for v in rows.rr_values], dtype=object)[:, None],
+               *(spread(*column) for column in numbers),
+               spread(gdp_share_pct(cri, rows.gdp), cri_at)]
+    return [np.broadcast_to(column, rows.shape).ravel().tolist() for column in columns]
 
 
 def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
-    lines = [",".join(IMPACT_COLUMNS)]
-    lines += map(",".join, zip(*impact_columns(rows)))
-    return "\n".join(lines) + "\n"
+    """The impact CSV of ``rows``. A :class:`GridResult` is rendered along its
+    axes: each column's distinct numbers are formatted in one call, and each
+    line is five pieces, ``model,pop,rr,`` and ``crimi,`` per (model,
+    population, RR), ``rf,`` per RF, ``criui,`` per (model, population, RF)
+    and ``cri,gdp`` per distinct CRI, broadcast into one array joined once."""
+    header = ",".join(IMPACT_COLUMNS) + "\n"
+    if not isinstance(rows, GridResult):
+        return header + "".join(",".join(cells) + "\n" for cells in zip(*impact_columns(rows)))
+    (rf, rf_at), (crimi, crimi_at), (criui, criui_at), (cri, cri_at) = _grid_numbers(rows)
+
+    def texts(values, end=","):
+        return np.array(_fmt_values(values.tolist(), end), dtype=object)
+
+    selectors = list(map(selector_text, rows.rr_values))
+    keys = [f"{m},{p},{r}," for m in rows.models for p in rows.pop_scenarios for r in selectors]
+    pieces = np.empty(rows.shape + (5,), dtype=object)
+    pieces[..., 0] = np.array(keys, dtype=object).reshape(crimi_at.shape)
+    pieces[..., 1] = texts(rf)[rf_at]
+    pieces[..., 2] = texts(crimi)[crimi_at]
+    pieces[..., 3] = texts(criui)[criui_at]
+    pieces[..., 4] = (texts(cri) + texts(gdp_share_pct(cri, rows.gdp), "\n"))[cri_at]
+    return header + "".join(pieces.ravel().tolist())
 
 
 def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:

@@ -113,7 +113,7 @@ SCHEMA = {
     "scenario.envelope_policy": (_one_of("policy", ENVELOPE_POLICIES), "population_level"),
     "params.utilization": (_number, 1.0),
     "params.health_improvement_rate": (_number, 0.25),
-    "project.scenarios": (_items, _REQUIRED),
+    "project.scenarios": (_distinct(_items), _REQUIRED),
     "project.birth_rates": (_list(_number), _REQUIRED),
     "project.initial": (_text, _REQUIRED),
     "project.horizon": (_integer, None),  # None: the last date of the mortality grid

@@ -385,7 +385,7 @@ class TestOutputNames:
     def test_duplicate_scenario_name_rejected(self, tmp_path, capsys):
         code, out = self._project(tmp_path, "A,A", "0.017,0.013")
         assert code == 2
-        assert "project.scenarios: output file population_A.csv" in capsys.readouterr().err
+        assert "key 'project.scenarios': 'A' is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_sources_with_one_name_rejected(self, tmp_path, capsys):
@@ -787,4 +787,19 @@ def test_a_repeated_sensitivity_axis_entry_exits_2_before_any_data_file_is_read(
                               "--manifest", str(manifest), "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr == f"error: {manifest}: key {key!r}: {problem}\n"
+    assert not out.exists()
+
+
+def test_a_repeated_project_scenario_exits_2_before_any_data_file_is_read(tmp_path, data_dir):
+    # The repeat is refused by the manifest, not later as a file written twice.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    (bundle / "population.csv").unlink()
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, "project.scenarios", "A,A")
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", "project",
+                              "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {manifest}: key 'project.scenarios': 'A' is listed twice\n"
     assert not out.exists()
