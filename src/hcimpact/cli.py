@@ -95,13 +95,22 @@ def _build_project(manifest: RunManifest, fmt: str):
     return files, stdout
 
 
-def _impact_inputs(manifest: RunManifest):
-    """Inputs and base scenario of an impact evaluation, with GDP at the shock date."""
+def _impact_inputs(manifest: RunManifest, populations: str):
+    """Inputs and base scenario of an impact evaluation, with GDP at the shock
+    date and a table for each id the command uses: the population ids of the
+    key ``populations``, the cost profile and the D/S scenario."""
     inputs = manifest.load_inputs()
     config = manifest.scenario_config()
     if config.shock_date not in inputs.params.gdp:
         manifest.fail("scenario.shock_date", f"{manifest.file('data.gdp')}: GDP path does not "
                       f"cover the shock date {config.shock_date}")
+    for key, what, tables in ((populations, "population scenario", inputs.populations),
+                              ("scenario.cost_profile", "cost profile", inputs.cost_profiles),
+                              ("scenario.ds_scenario", "D/S scenario", inputs.ds_profiles)):
+        ids = manifest.value(key)
+        for i in [ids] if isinstance(ids, str) else ids:
+            if i not in tables:
+                manifest.fail(key, f"unknown {what} {i!r}; valid ids: {', '.join(sorted(tables))}")
     return inputs, config
 
 
@@ -114,7 +123,7 @@ def _impact_table(stem: str, rows, fmt: str) -> dict[str, str]:
 
 
 def _build_impact(manifest: RunManifest, fmt: str):
-    inputs, config = _impact_inputs(manifest)
+    inputs, config = _impact_inputs(manifest, "scenario.population")
     row = impact_row(config, inputs)
     result = row.result
     base_path = evaluate_model(  # impact_row has resolved every id
@@ -146,7 +155,7 @@ def _build_impact(manifest: RunManifest, fmt: str):
 
 
 def _build_sensitivity(manifest: RunManifest, fmt: str):
-    inputs, base = _impact_inputs(manifest)
+    inputs, base = _impact_inputs(manifest, "sensitivity.populations")
     grid = sensitivity_grid(base, inputs, *(manifest.value(f"sensitivity.{axis}") for axis in
                                             ("rr_values", "rf_values", "models", "populations")))
 

@@ -209,14 +209,16 @@ def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarr
     ``weights`` broadcasts to ``(..., rows, cohorts)`` and ``counts`` (one
     column, or a stack of them shaped ``(..., 1, cohorts)``) broadcasts
     over its leading axes; each row is multiplied by its column and summed
-    along the contiguous cohort axis. numpy sums every row in the same
-    order whatever the leading shape, so a value is bit-identical whether
-    it is computed alone or inside a stack. An overflow is reported by the
-    one finiteness check, not by a numpy warning.
+    along the cohort axis. The product is laid out in C order, so the
+    cohort axis is contiguous and numpy sums every row in the same order
+    whatever the leading shape or the inputs' strides: a value is
+    bit-identical whether it is computed alone or inside a stack. An
+    overflow is reported by the one finiteness check, not by a numpy
+    warning.
     """
     stack = np.broadcast_to(weights, weights.shape[:-2] + (rows, counts.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (stack * counts).sum(axis=-1) * _TO_EUR_MILLIONS
+        values = np.multiply(stack, counts, order="C").sum(axis=-1) * _TO_EUR_MILLIONS
     if not np.all(np.isfinite(values)):
         raise ValidationError("expenditure must be finite at every date")
     return values

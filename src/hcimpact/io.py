@@ -28,10 +28,10 @@ from .relative_risk import (
     SERVICES,
     LaborMarketState,
     RelativeRisk,
-    StudyRecord,
     StudyRecords,
     UtilizationRRSet,
     dilute_relative_risk,
+    first_bad_record,
 )
 
 __all__ = [
@@ -217,14 +217,8 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     Columns in ``unused`` are optional numbers that are validated but not
     kept.
 
-    Two parsers read a file into the same columns, and one set of checks
-    runs on them. :func:`_read_cohort_blocks` reads any file ``np.loadtxt``
-    accepts, in one pass; only a file it refuses is read again, from the
-    start, by :func:`_read_cohort_rows`. The checks of a row are listed in
-    order, each with the first row it fails on. The error is at the first
-    of those rows, from the first check that fails there: the line and the
-    reason a reader going row by row would stop at. Then come the checks of
-    the whole file.
+    :func:`_read_table` reads the file, :func:`_check` runs the checks of
+    its rows, and then come the checks of the whole file.
     """
     dated = grid is None
     what = key and key.removesuffix("_id")
@@ -232,9 +226,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
         "cohort_lo", "cohort_hi", value_column)
     dtypes = {column: object if column == key or column in unused else
               float if column == value_column else np.int64 for column in (*required, *unused)}
-    parsed = _read_columns(path, required, unused, dtypes, key)
-    ids, columns, line, bad, stop = (*parsed, {}, None) if parsed else _read_cohort_rows(
-        path, required, value_column, key, unused)
+    ids, columns, line, bad, stop = _read_table(path, required, unused, dtypes, key)
     value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
     n = len(value)
     table = columns[key] if key else np.zeros(n, np.intp)
@@ -250,40 +242,24 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     ordered = cell[order]
     low, high = bounds
 
-    def first(mask) -> int:
-        return int(mask.argmax()) if mask.any() else n
-
-    def number(column, numbers, cells):  # not a finite number; ``cells`` did not parse (nan)
-        return first(~np.isfinite(numbers)), lambda row: f"column {column!r}: " + (
-            f"{cells[row]!r} is not a number" if row in cells else "value must be finite")
-
     def duplicate(row):
         owner = f"{what} {ids[table[row]]}, " if key else ""
         when = f", date {date[row]}" if dated else ""
         return f"duplicate cell for {owner}cohort {lo[row]}{when}"
 
-    checks = [  # (the first row that fails, the message of that row)
-        (first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
-        *((min(bad.get(c, {}), default=n),
-           lambda row, c=c: f"column {c!r}: {bad[c][row]!r} is not an integer")
-          for c in ("date", "cohort_lo", "cohort_hi")),
-        (first(hi - lo != COHORT_WIDTH - 1),
+    _check(path, n, line, stop, [
+        (_first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
+        *(_integer(c, bad.get(c, {}), n) for c in ("date", "cohort_lo", "cohort_hi")),
+        (_first(hi - lo != COHORT_WIDTH - 1),
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not a {COHORT_WIDTH}-year bin"),
-        (first(starts.take(cohort, mode="clip") != lo),
+        (_first(starts.take(cohort, mode="clip") != lo),
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not on the cohort grid"),
-        number(value_column, value, bad.get(value_column, {})),
-        (first(~((value >= low) & (value <= high))), lambda row: problem.format(value[row])),
-    ]
-    checks += [number(c, *_parse_cells(columns[c], lambda t: float(t or 0), math.nan, float))
-               for c in unused if c in columns]
-    checks.append((int(np.min(order[1:][ordered[1:] == ordered[:-1]], initial=n)), duplicate))
-    row, i = min((row, i) for i, (row, _) in enumerate(checks))
-    if row < n:
-        _fail(path, checks[i][1](row), line(row))
-    if stop is not None:
-        raise stop
-    if not n:
-        _fail(path, "no data rows")
+        _number(value_column, value, bad.get(value_column, {})),
+        (_first(~((value >= low) & (value <= high))), lambda row: problem.format(value[row])),
+        *(_number(c, *_parse_cells(columns[c], lambda t: float(t or 0), math.nan, float))
+          for c in unused if c in columns),
+        (int(np.min(order[1:][ordered[1:] == ordered[:-1]], initial=n)), duplicate),
+    ])
     if dated:
         try:
             grid = CohortGrid(tuple(starts.tolist()), tuple(dates.tolist()))
@@ -301,20 +277,53 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     return grid, ids, values.reshape(shape)
 
 
+def _first(mask: np.ndarray) -> int:
+    """The first row ``mask`` marks, or the number of rows if it marks none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _integer(column, cells, n):  # ``cells``: {row: text} of the cells that did not parse
+    return min(cells, default=n), lambda row: f"column {column!r}: {cells[row]!r} is not an integer"
+
+
+def _number(column, numbers, cells):  # as in :func:`_integer`; such a cell is nan in ``numbers``
+    return _first(~np.isfinite(numbers)), lambda row: f"column {column!r}: " + (
+        f"{cells[row]!r} is not a number" if row in cells else "value must be finite")
+
+
+def _check(path, n, line, stop, checks) -> None:
+    """Fail as a reader going row by row would. ``checks`` lists the checks
+    of a row in order, each as ``(the first of the n rows it fails on, or n;
+    the message of a row)``: the error is at the first of those rows (line
+    ``line(row)``), from the first check that fails there. Else ``stop``, the
+    error that ended the reading, is raised; else a file of no rows fails."""
+    row, i = min((row, i) for i, (row, _) in enumerate(checks))
+    if row < n:
+        _fail(path, checks[i][1](row), line(row))
+    if stop is not None:
+        raise stop
+    if not n:
+        _fail(path, "no data rows")
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values (plain ``np.unique`` imports ``numpy.ma`` on first use)."""
     values = np.sort(values)
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
-def _read_columns(path, required, optional, dtypes, key=None):
-    """The data of a file with a valid header, as :func:`_read_cohort_blocks`
-    parses it, or None where it refuses the text or a cell."""
+def _read_table(path, required, optional, dtypes, key=None):
+    """``(ids, columns, line, bad, stop)`` of a file with a valid header (see
+    :func:`_read_cohort_rows`), each column read as its dtype in ``dtypes``:
+    by :func:`_read_cohort_blocks` in one pass where ``np.loadtxt`` accepts
+    the file, else again from the start by :func:`_read_cohort_rows`."""
     with _open_table(path, required, optional) as (header, reader, fh):
         try:
-            return _read_cohort_blocks(fh, header, reader.line_num, dtypes, key)
+            parsed = _read_cohort_blocks(fh, header, reader.line_num, dtypes, key)
         except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
-            return None
+            parsed = None
+    return (*parsed, {}, None) if parsed else _read_cohort_rows(
+        path, required, optional, dtypes, key)
 
 
 def _read_cohort_blocks(fh, header, header_end, dtypes, key=None):
@@ -384,36 +393,38 @@ def _parse_cells(texts, convert, stand_in, dtype):
     return np.array(values, dtype), bad
 
 
-def _read_cohort_rows(path, required, value_column, key, unused):
-    """Any cohort table, read row by row by :func:`_read_rows`: ``(ids,
-    columns, line, bad, stop)``.
+def _read_cohort_rows(path, required, optional, dtypes, key):
+    """Any table, read row by row by :func:`_read_rows`: ``(ids, columns,
+    line, bad, stop)``.
 
-    ``columns`` maps the id column to each row's table number, an index into
-    ``ids`` (the stripped ids in order of first appearance), and ``line(row)``
-    is a row's line. Number cells are parsed by ``int`` or ``float``: ``bad``
-    maps a number column to ``{row: stripped text}`` of the cells that did
-    not parse. ``stop`` is the error that ended the reading, or None: a row
-    with more fields than the header, a line ``csv`` cannot split or a byte
-    that does not decode. It is the file's error if the rows before it pass.
+    ``columns`` maps the id column ``key`` to each row's table number, an
+    index into ``ids`` (the stripped ids in order of first appearance), and
+    ``line(row)`` is a row's line. A column of dtype object keeps its
+    stripped texts; the others are parsed by ``float`` or, for int64, by
+    ``int``: ``bad`` maps a number column to ``{row: stripped text}`` of the
+    cells that did not parse. ``stop`` is the error that ended the reading,
+    or None: a row with more fields than the header, a line ``csv`` cannot
+    split or a byte that does not decode. It is the file's error if the
+    rows before it pass.
     """
     rows, lines, stop = [], [], None
     try:
-        for line, row in _read_rows(path, required, unused):
+        for line, row in _read_rows(path, required, optional):
             lines.append(line)
             rows.append(row)
     except ValidationError as exc:
         stop = exc
     tables, columns, bad = {}, {}, {}
-    for column in (*required, *unused):
-        texts = [row.get(column, "") for row in rows]  # an unused column may be absent
+    for column in (*required, *optional):
+        texts = [row.get(column, "") for row in rows]  # an optional column may be absent
         if column == key:
             columns[column] = np.array([tables.setdefault(text, len(tables)) for text in texts],
                                        np.intp)
-        elif column in unused:
+        elif dtypes[column] is object:
             columns[column] = np.array(texts, object)
         else:
             columns[column], bad[column] = _parse_cells(  # Python ints, exact past int64
-                texts, *((float, math.nan, float) if column == value_column else (int, 0, object)))
+                texts, *((float, math.nan, float) if dtypes[column] is float else (int, 0, object)))
     return list(tables) if key else [None], columns, lines.__getitem__, bad, stop
 
 
@@ -479,52 +490,32 @@ def write_mortality_csv(table: MortalityTable, out) -> None:
 
 # ------------------------------------------------------------ relative risks
 
-#: Each column of a study-record file: its row parser, and the dtype the
-#: columnar pass reads it as (a flag as text, to be exactly ``0`` or ``1``).
-_STUDY_COLUMNS = {
-    "cohort_lo": (_parse_int, np.int64), "cohort_hi": (_parse_int, np.int64),
-    "rr_lower": (_parse_float, float), "rr_upper": (_parse_float, float),
-    "diluted": (_parse_flag, object), "source_tag": (_text, object),
-}
+#: Each column of a study-record file and its dtype (a flag is text, to be exactly ``0`` or ``1``).
+_STUDY_COLUMNS = {"cohort_lo": np.int64, "cohort_hi": np.int64, "rr_lower": float,
+                  "rr_upper": float, "diluted": object, "source_tag": object}
 
 
 def read_rr_mortality_csv(path) -> StudyRecords:
     """The study records of a mortality-risk file, as columns: a
-    ``Sequence[StudyRecord]``.
-
-    :func:`_read_cohort_blocks` parses the file. A file it refuses, a flag
-    other than ``0`` or ``1``, or a record :class:`StudyRecords` rejects
-    sends the file to :func:`_read_study_rows`, the one source of the
-    ``file:line`` messages.
-    """
-    dtypes = {column: dtype for column, (_, dtype) in _STUDY_COLUMNS.items()}
-    parsed = _read_columns(path, tuple(_STUDY_COLUMNS), (), dtypes)
-    if parsed:
-        columns = parsed[1]
-        flag = columns["diluted"]
-        if len(flag) and np.all((flag == "0") | (flag == "1")):
-            try:
-                return StudyRecords(
-                    columns["cohort_lo"], columns["cohort_hi"],
-                    np.column_stack((columns["rr_lower"], columns["rr_upper"])), flag == "1",
-                    tuple(map(str.strip, columns["source_tag"].tolist())))
-            except ValidationError:
-                pass  # the row loop names the line
-    return StudyRecords.of(_read_study_rows(path))
-
-
-def _read_study_rows(path) -> list[StudyRecord]:
-    """The study records of a file, read and checked row by row."""
-    parsers = {column: parse for column, (parse, _) in _STUDY_COLUMNS.items()}
-    records = []
-    for line, values in _read_records(path, parsers):
-        try:
-            records.append(StudyRecord(*values))
-        except ValidationError as exc:
-            _fail(path, str(exc), line)
-    if not records:
-        _fail(path, "no data rows")
-    return records
+    ``Sequence[StudyRecord]``. Each row's cohort bounds must be integers,
+    its risk bounds finite numbers, its flag ``0`` or ``1`` and its record
+    valid (:func:`first_bad_record`), checked in that order."""
+    _, columns, line, bad, stop = _read_table(path, tuple(_STUDY_COLUMNS), (), _STUDY_COLUMNS)
+    lo, hi = columns["cohort_lo"], columns["cohort_hi"]
+    rr = np.column_stack((columns["rr_lower"], columns["rr_upper"]))
+    flag = columns["diluted"]
+    if not np.all((flag == "0") | (flag == "1")):  # Python strips: a str array drops end NULs
+        flag = np.array(list(map(str.strip, flag.tolist())), object)
+    n, one = len(flag), flag == "1"
+    record, problem = first_bad_record(lo, hi, rr)
+    _check(path, n, line, stop, [
+        *(_integer(c, bad.get(c, {}), n) for c in ("cohort_lo", "cohort_hi")),
+        *(_number(c, columns[c], bad.get(c, {})) for c in ("rr_lower", "rr_upper")),
+        (_first(~(one | (flag == "0"))),
+         lambda row: f"column 'diluted': expected 0 or 1, got {flag[row]!r}"),
+        (record, lambda row: problem),
+    ])
+    return StudyRecords(lo, hi, rr, one, tuple(map(str.strip, columns["source_tag"].tolist())))
 
 
 def _read_service_rows(path, columns, parse) -> dict[str, float]:

@@ -202,13 +202,16 @@ class RunManifest:
         files = {key: self.file(key) for key in SCHEMA
                  if key.startswith("data.") and key != "data.population"}
         labor = LaborMarketState(self.value("scenario.unemployment_rate"))
+        policy = self.value("scenario.envelope_policy")
         populations, mortality = self.load_populations()
         grid = mortality.grid
         records = io.read_rr_mortality_csv(files["data.rr_mortality"])
+        try:
+            envelope = build_rr_envelope(records, labor, grid, policy=policy)
+        except ValidationError as exc:  # the records cannot make one: name their file
+            raise ValidationError(f"{files['data.rr_mortality']}: {exc}") from None
         return ScenarioInputs(
-            grid=grid, populations=populations, mortality=mortality,
-            rr_mortality=build_rr_envelope(records, labor, grid,
-                                           policy=self.value("scenario.envelope_policy")),
+            grid=grid, populations=populations, mortality=mortality, rr_mortality=envelope,
             rr_utilization={
                 bound: io.read_rr_utilization_csv(files[f"data.rr_utilization_{bound}"], labor)
                 for bound in ("lower", "upper")

@@ -227,19 +227,29 @@ class StudyRecord:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.age_lo > self.age_hi:
-            raise ValidationError("record age range is inverted")
-        if not (0.0 <= self.rr_lower <= self.rr_upper) or not np.isfinite(self.rr_upper):
-            raise ValidationError(
-                f"record bounds must satisfy 0 <= lower <= upper, got "
-                f"[{self.rr_lower}, {self.rr_upper}]"
-            )
+        StudyRecords.of([self])  # the record as one row of columns, checked as such
 
 
 def _ages(values) -> np.ndarray:
     """Ages as int64, or as Python ints (exact past int64) where int64 would not hold them."""
     ages = np.array(values)
+    if ages.dtype == object:  # Python ints, int64 where it holds them all
+        ages = np.array(ages.tolist())
     return ages if ages.dtype.kind == "i" else np.array(values, object)
+
+
+def first_bad_record(age_lo, age_hi, rr) -> tuple[int, str]:
+    """The first row of study-record columns with an inverted age range or
+    an ``rr`` row not ``0 <= lower <= upper < inf``, and its error; else ``(rows, "")``."""
+    lower, upper = rr.T
+    inverted = age_lo > age_hi
+    bad = inverted | ~((0.0 <= lower) & (lower <= upper) & np.isfinite(upper))
+    if not bad.any():
+        return len(bad), ""
+    row = int(bad.argmax())
+    lo, hi = rr[row].tolist()
+    return row, "record age range is inverted" if inverted[row] else (
+        f"record bounds must satisfy 0 <= lower <= upper, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +257,9 @@ class StudyRecords(Sequence[StudyRecord]):
     """Study records as columns: ``age_lo`` and ``age_hi``, ``rr`` (one
     ``(lower, upper)`` row per record), ``diluted`` and ``source``.
 
-    Each column is copied and write-protected, and every row is checked
-    as :class:`StudyRecord` checks a record: the first bad row raises that
-    record's error. As a sequence it yields one :class:`StudyRecord` per
-    row, built when asked for.
+    Each column is copied and write-protected, and the first bad row
+    :func:`first_bad_record` finds raises that record's error. As a
+    sequence it yields one :class:`StudyRecord` per row, built when asked for.
     """
 
     age_lo: np.ndarray
@@ -271,10 +280,9 @@ class StudyRecords(Sequence[StudyRecord]):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "source", tuple(self.source))
-        lo, hi = self.rr.T
-        bad = (self.age_lo > self.age_hi) | ~((0.0 <= lo) & (lo <= hi) & np.isfinite(hi))
-        if bad.any():
-            self[int(bad.argmax())]  # builds the first bad record, which raises its error
+        _, problem = first_bad_record(self.age_lo, self.age_hi, self.rr)
+        if problem:
+            raise ValidationError(problem)
 
     @classmethod
     def of(cls, records: Iterable[StudyRecord]) -> "StudyRecords":

@@ -1,9 +1,12 @@
 import errno
+import itertools
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -803,3 +806,71 @@ def test_a_repeated_project_scenario_exits_2_before_any_data_file_is_read(tmp_pa
     assert proc.returncode == 2
     assert proc.stderr == f"error: {manifest}: key 'project.scenarios': 'A' is listed twice\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, what, tables", [
+    ("impact", "scenario.population", "Nope", "population scenario", "populations"),
+    ("impact", "scenario.cost_profile", "Nope", "cost profile", "cost_profiles"),
+    ("impact", "scenario.ds_scenario", "Nope", "D/S scenario", "ds_profiles"),
+    ("sensitivity", "sensitivity.populations", "PopMV,Nope", "population scenario", "populations"),
+    ("sensitivity", "scenario.cost_profile", "Nope", "cost profile", "cost_profiles"),
+    ("sensitivity", "scenario.ds_scenario", "Nope", "D/S scenario", "ds_profiles"),
+])
+def test_an_unknown_id_names_manifest_and_key(
+    tmp_path, data_dir, capsys, command, key, value, what, tables
+):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    valid = sorted(getattr(parse_manifest(manifest).load_inputs(), tables))
+    _set_manifest_value(manifest, key, value)
+    out = tmp_path / "out"
+    assert run_cli(command, "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: key {key!r}: unknown {what} 'Nope'; valid ids: {', '.join(valid)}\n")
+    assert not out.exists()
+
+
+def _numbers(text: str) -> list[float]:
+    """Every token of ``text`` that ``float`` takes."""
+    numbers = []
+    for token in re.split(r"[\s,=()%]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
+def test_every_study_cell_mutation_exits_0_with_finite_numbers_or_2_naming_the_file(
+    tmp_path, data_dir, capsys
+):
+    # Each cell of the bundled study-record file is set to each text in turn.
+    # A run writes only finite numbers, or prints one error line that names
+    # the file and writes nothing; no warning and no other exit.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    study = bundle / "rr_mortality.csv"
+    header, *rows = study.read_text().splitlines()
+    columns = header.split(",")
+    texts = ("", "nan", "inf", "-1", "-0", "1e308", "1e-320")
+    failures = []
+    for run, (row, column, text) in enumerate(
+            itertools.product(range(len(rows)), range(len(columns)), texts)):
+        cells = [r.split(",") for r in rows]
+        cells[row][column] = text
+        study.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+        out = tmp_path / f"out{run}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out)
+        std = capsys.readouterr()
+        written = std.out + "".join(f.read_text() for f in sorted(out.glob("*")))
+        errors = [line for line in std.err.splitlines() if line.startswith("error:")]
+        if code == 0 and all(map(math.isfinite, _numbers(written))):
+            continue
+        if code == 2 and len(errors) == 1 and "rr_mortality.csv" in errors[0] and not out.exists():
+            continue
+        failures.append((row + 2, columns[column], text, code, std.err))
+    assert run + 1 == len(rows) * len(columns) * len(texts) == 252
+    assert failures == []

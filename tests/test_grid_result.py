@@ -1,7 +1,9 @@
 """The columnar sensitivity grid: cells, sequence contract, checks and render."""
 
+import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 from functools import partial
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hcimpact import GridResult, GridRow, ImpactResult, NumericalError, ValidationError, io
 from hcimpact.expenditure import contract, model_weights, require_same_grid
-from hcimpact.impact import _resolve, _rr_vector, resolve_rf, sensitivity_grid
+from hcimpact.impact import _resolve, _rr_vector, impact_row, resolve_rf, sensitivity_grid
 from hcimpact.manifest import parse_manifest
 from hcimpact.relative_risk import shock_death_probs
 
@@ -330,3 +332,28 @@ def test_full_size_sweep_csv_equals_the_per_row_render(seed):
                             gen.SWEEP_MODELS, gen.SWEEP_POPULATIONS)
     assert grid.shape == (3, 4, 20, 20)
     assert io.impact_csv_text(grid).splitlines() == _reference_csv(list(grid)).splitlines()
+
+
+def test_every_cell_has_its_one_cell_bits_whatever_the_other_axis_entries():
+    # The other entries of the axes change the shapes and strides of the
+    # stacks contract sums, never the bits of a cell: each cell equals the
+    # one-cell grid of impact_row, -0.0 and 0.0 apart.
+    manifest = parse_manifest(DATA_DIR / "manifest.txt")
+    config, inputs = manifest.scenario_config(), manifest.load_inputs()
+    rr, rf = ["lower", "upper", 1.3], ["lower", "upper", 1.1]
+    alone, differ, cells = {}, [], 0
+    for models in (m for n in (1, 2, 3) for m in itertools.permutations(("PD", "CH", "DC"), n)):
+        for pops in (["PopMV"], ["PopLV", "PopMV", "PopHV"]):
+            grid = sensitivity_grid(config, inputs, rr, rf, models, pops)
+            for row, cell in zip(grid, itertools.product(models, pops, rr, rf)):
+                if cell not in alone:
+                    m, p, r, f = cell
+                    alone[cell] = impact_row(dataclasses.replace(
+                        config, model=m, population=p, rr_selection=r, rf_selection=f), inputs)
+                want, got = alone[cell].result, row.result
+                bits = np.array([[want.crimi, want.criui], [got.crimi, got.criui]]).view(np.int64)
+                cells += 1
+                if (bits[0] != bits[1]).any():
+                    differ.append((models, pops, cell, got.crimi, want.crimi))
+    assert cells == 1188
+    assert differ == []

@@ -977,6 +977,16 @@ _STUDY_FILES = {
     "a long row": "\n".join((*_STUDY_ROWS, "0,9,1.0,1.1,1,x,y")) + "\n",
     "no data rows": "",
     "only empty lines": "\n\n\n",
+    # Two faults: the first row with one fails, by the first check of that row.
+    "an inverted age range, then an unparsable risk":
+        "9,0,1.0,1.1,1,anchor\n5,14,1.2,x,0,study\n",
+    "an unparsable risk, then an inverted age range":
+        "0,9,1.0,x,1,anchor\n14,5,1.2,1.5,0,study\n",
+    "a bad flag and inverted bounds on one row": _with_study_cell("diluted", "2")
+    .replace("1.2,1.5", "1.5,1.2"),
+    "a long row after inverted bounds": "5,14,1.5,1.2,0,study\n0,9,1.0,1.1,1,x,y\n",
+    "diluted '1\\x00'": _with_study_cell("diluted", "1\0"),
+    "diluted '1\\x00 '": _with_study_cell("diluted", "1\0 "),
 }
 
 
@@ -1016,7 +1026,7 @@ def test_study_records_of_regular_files_take_the_columnar_pass(tmp_path, monkeyp
                     "--out", str(tmp_path)], check=True)
     files = (data_dir / "rr_mortality.csv", tmp_path / "rr_mortality.csv")
     want = [_reference_study_records(f) for f in files]
-    monkeypatch.setattr(io, "_read_study_rows", _row_loop_not_used)
+    monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
     monkeypatch.setattr(io, "_BLOCK_LINES", 7)  # several blocks per file
     for f, records in zip(files, want):
         got = io.read_rr_mortality_csv(f)

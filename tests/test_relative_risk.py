@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hcimpact import (
     LaborMarketState,
@@ -46,13 +46,14 @@ class TestDilution:
             dilute_relative_risk(RelativeRisk(1.2, diluted=True), LaborMarketState(0.1))
 
     @given(lo=st.floats(0.0, 50.0), hi=st.floats(0.0, 50.0), w=st.floats(0.0, 1.0))
+    @example(lo=0.0, hi=1.2755912860596903e-09, w=1.2755912860596903e-09)  # a gap below 1's spacing
     def test_monotone_in_risk(self, lo, hi, w):
         a, b = sorted((lo, hi))
         labor = LaborMarketState(w)
         da = dilute_relative_risk(RelativeRisk(a), labor).value
         db = dilute_relative_risk(RelativeRisk(b), labor).value
         assert da <= db
-        if w > 1e-9 and b - a > 1e-9:  # strict once the gap is representable
+        if w * (b - a) > 1e-12:  # strict once the diluted gap is representable
             assert da < db
 
     @given(rr=st.floats(1.0, 50.0), w1=st.floats(0.0, 1.0), w2=st.floats(0.0, 1.0))
