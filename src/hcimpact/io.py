@@ -13,7 +13,6 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -108,10 +107,12 @@ def open_text(path):
     split raises ``ValidationError`` naming the file (and the line of the
     bad byte).
     """
-    if not Path(path).exists():
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except (FileNotFoundError, NotADirectoryError):
         _fail(path, "file does not exist")
     try:
-        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        with fh:
             yield fh
     except UnicodeDecodeError:
         raw = Path(path).read_bytes()
@@ -124,39 +125,32 @@ def open_text(path):
         _fail(path, str(exc))
 
 
-@contextmanager
-def _open_table(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Open a CSV file and validate its header; yields ``(header, reader, fh)``,
-    ``fh`` the open file positioned after the header.
-
-    The header (cells stripped) must have no empty cell, name every
-    ``required`` column, no column twice and none outside ``required`` and
-    ``optional``.
-    """
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            _fail(path, "empty file, expected a header row")
-        header = [h.strip() for h in first]
-        if "" in header:
-            _fail(path, f"header column {header.index('') + 1} is empty")
-        duplicate = sorted({h for h in header if header.count(h) > 1})
-        if duplicate:
-            _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
-        missing = [c for c in required if c not in header]
-        if missing:
-            _fail(path, f"missing required column(s): {', '.join(missing)}")
-        unknown = [c for c in header if c not in (*required, *optional)]
-        if unknown:
-            _fail(path, f"unknown column(s): {', '.join(unknown)}")
-        yield header, reader, fh
+def _header(path, first, required: Sequence[str], optional: Sequence[str]) -> list[str]:
+    """The header row ``first`` (None for an empty file), its cells stripped: no
+    cell empty, every ``required`` column, none twice or outside ``optional``."""
+    if first is None:
+        _fail(path, "empty file, expected a header row")
+    header = [h.strip() for h in first]
+    if "" in header:
+        _fail(path, f"header column {header.index('') + 1} is empty")
+    duplicate = sorted({h for h in header if header.count(h) > 1})
+    if duplicate:
+        _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
+    missing = [c for c in required if c not in header]
+    if missing:
+        _fail(path, f"missing required column(s): {', '.join(missing)}")
+    unknown = [c for c in header if c not in (*required, *optional)]
+    if unknown:
+        _fail(path, f"unknown column(s): {', '.join(unknown)}")
+    return header
 
 
 def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield ``(line_number, {column: cell})`` for each non-blank row, its
-    cells stripped and a short row padded with empty cells."""
-    with _open_table(path, required, optional) as (header, reader, _):
+    """Yield ``(line_number, {column: cell})`` for each non-blank row after a valid
+    :func:`_header`, its cells stripped and a short row padded with empty cells."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = _header(path, next(reader, None), required, optional)
         for row in reader:
             if len(row) > len(header):
                 _fail(path, "row has more fields than the header", reader.line_num)
@@ -198,11 +192,6 @@ def _read_records(path, parsers):
         yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
-#: Data lines :func:`_read_cohort_blocks` parses at once. A block, not the
-#: whole file, keeps the parser's memory flat in the file size.
-_BLOCK_LINES = 4096
-
-
 def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None, unused=()):
     """The one reader of cohort-indexed tables: ``(grid, ids, values)``,
     ``values`` the tables stacked in the order of ``ids``.
@@ -217,15 +206,16 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     Columns in ``unused`` are optional numbers that are validated but not
     kept.
 
-    :func:`_read_table` reads the file, :func:`_check` runs the checks of
-    its rows, and then come the checks of the whole file.
+    :func:`_read_table` reads the file (its columnar pass takes integers as
+    int32, and a file with a larger one takes the row loop), :func:`_check`
+    runs the checks of its rows, and then come the checks of the whole file.
     """
     dated = grid is None
     what = key and key.removesuffix("_id")
     required = ((key,) if key else ()) + (("date",) if dated else ()) + (
         "cohort_lo", "cohort_hi", value_column)
     dtypes = {column: object if column == key or column in unused else
-              float if column == value_column else np.int64 for column in (*required, *unused)}
+              float if column == value_column else np.int32 for column in (*required, *unused)}
     ids, columns, line, bad, stop = _read_table(path, required, unused, dtypes, key)
     value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
     n = len(value)
@@ -250,7 +240,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     _check(path, n, line, stop, [
         (_first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
         *(_integer(c, bad.get(c, {}), n) for c in ("date", "cohort_lo", "cohort_hi")),
-        (_first(hi - lo != COHORT_WIDTH - 1),
+        (_first((hi - lo != COHORT_WIDTH - 1) | (hi < lo)),  # hi < lo: an int32 wrap to 4
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not a {COHORT_WIDTH}-year bin"),
         (_first(starts.take(cohort, mode="clip") != lo),
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not on the cohort grid"),
@@ -315,69 +305,79 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _read_table(path, required, optional, dtypes, key=None):
     """``(ids, columns, line, bad, stop)`` of a file with a valid header (see
     :func:`_read_cohort_rows`), each column read as its dtype in ``dtypes``:
-    by :func:`_read_cohort_blocks` in one pass where ``np.loadtxt`` accepts
-    the file, else again from the start by :func:`_read_cohort_rows`."""
-    with _open_table(path, required, optional) as (header, reader, fh):
-        try:
-            parsed = _read_cohort_blocks(fh, header, reader.line_num, dtypes, key)
-        except (ValueError, OverflowError, Warning):  # a cell loadtxt refused, or a non-UTF-8 byte
-            parsed = None
+    by :func:`_read_cohort_blocks` in one ``np.loadtxt`` of the path where it
+    accepts the file, else by the row loop, :func:`_read_cohort_rows`."""
+    parsed = _read_cohort_blocks(path, required, optional, dtypes, key)
     return (*parsed, {}, None) if parsed else _read_cohort_rows(
         path, required, optional, dtypes, key)
 
 
-def _read_cohort_blocks(fh, header, header_end, dtypes, key=None):
-    """The data lines of ``fh``, after line ``header_end``, as ``(ids,
-    columns, line)`` (see :func:`_read_cohort_rows`); None for text loadtxt
-    refuses.
+#: The largest file :func:`_read_cohort_blocks` parses from its lines in
+#: memory. Both ways take the same time near 64 KiB: below it numpy's open of
+#: a path costs more than the split, above it the path parses faster, and its
+#: memory stays flat.
+_IN_MEMORY_BYTES = 2**16
 
-    ``np.loadtxt`` parses each block of :data:`_BLOCK_LINES` lines, each
-    column as its dtype in ``dtypes``: object (text), float or int64. It
-    takes a strict subset of what ``int`` and ``float`` take and raises
-    ``ValueError`` or warns on any other cell or row width. It splits like
-    ``csv`` only lines without a quote, CR or NUL and no longer than a
-    ``csv`` field may be: a block with another line returns None. Of the
-    text, only the numbers of the empty lines (which loadtxt and ``csv``
-    skip) are kept, to find the line of a row. The cells of the id column
-    ``key`` become table numbers, as in :func:`_read_cohort_rows`.
+
+def _read_cohort_blocks(path, required, optional, dtypes, key=None):
+    """The data lines of the file at ``path``, after a valid :func:`_header`,
+    as ``(ids, columns, line)`` (see :func:`_read_cohort_rows`); None for a
+    file the row loop reads.
+
+    One scan of the bytes refuses what ``np.loadtxt`` would not split like
+    ``csv`` (a byte that is not UTF-8, a quote, a CR, a NUL, a line longer
+    than a ``csv`` field), a file of no data line and a name numpy would open
+    through a decompressor, and keeps the numbers of the empty lines, which
+    loadtxt and ``csv`` skip. One loadtxt of the path (of the lines, up to
+    :data:`_IN_MEMORY_BYTES`) then reads each column as its dtype in
+    ``dtypes`` and ``key`` as latin-1 bytes, as wide as the widest line
+    leaves room for. It takes a strict subset of what ``int`` and ``float``
+    take; any other cell, an integer past its dtype, an id outside latin-1
+    or another row width returns None. The ids become table numbers. The
+    file is opened twice, for the scan and by numpy, and is taken not to
+    change in between.
     """
-    dtype = np.dtype([(column, dtypes[column]) for column in header])
-    tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
-    # The columns of each block, after the empty ones a file without data lines returns.
-    kept = [{c: np.empty(0, np.intp if c == key else dtype[c]) for c in header}]
-    empty = []  # the number of each empty line
-    line = header_end + 1  # the first of the block
-    limit = csv.field_size_limit()
-    while lines := list(islice(fh, _BLOCK_LINES)):
-        text = "".join(lines)
-        if '"' in text or "\r" in text or "\0" in text or (
-                len(text) > limit and max(map(len, lines)) > limit):
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if not raw.isascii():
+            raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError):  # the row loop names the error
+        return None
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if b'"' in raw or b"\r" in raw or b"\0" in raw or not len(ends) or (
+            Path(path).suffix in (".bz2", ".gz", ".lzma", ".xz")):  # numpy would decompress it
+        return None
+    # Each data line's length with its newline; the last counts one, present or not.
+    widths = np.append(ends[1:], len(raw)) - ends
+    if max(ends[0] + 1, widths.max()) > csv.field_size_limit():
+        return None
+    header = _header(path, next(csv.reader([raw[: ends[0] + 1].decode("utf-8-sig")])),
+                     required, optional)
+    empty = np.flatnonzero(widths[:-1] == 1)  # the number of each empty line, less 2
+    before = empty - np.arange(len(empty))  # the data rows before each empty line
+    # An id leaves a comma for each other cell and a character for each number.
+    id_width = widths.max() - sum(1 + (dtypes[c] is not object) for c in header if c != key)
+    source = str(path) if len(raw) > _IN_MEMORY_BYTES else raw.decode("utf-8-sig").split("\n")
+    del raw, ends, widths  # before the parse, which holds every row at once
+    dtype = np.dtype([(c, f"S{max(id_width, 1)}" if c == key else dtypes[c]) for c in header])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=1, ndmin=1,
+                              encoding="utf-8-sig", comments=None, quotechar=None)
+        except (ValueError, OverflowError, Warning, OSError):
             return None
-        rows = np.empty(0, dtype)  # of a block of empty lines, which loadtxt would refuse
-        if text.strip("\n"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None,
-                                  quotechar=None, ndmin=1)
-        if len(rows) < len(lines):  # loadtxt, like csv, skipped the empty lines
-            empty += [line + i for i, s in enumerate(lines) if s == "\n"]
-        line += len(lines)
-        kept.append({column: rows[column].copy() for column in header if column != key})
-        if key:  # each run of one id cell takes its table number at once
-            cells = rows[key]
-            run = np.flatnonzero(np.append(True, cells[1:] != cells[:-1])[: len(cells)])
-            numbers = [tables.setdefault(i.strip(), len(tables)) for i in cells[run].tolist()]
-            kept[-1][key] = np.repeat(np.array(numbers, np.intp), np.diff(run, append=len(cells)))
-
-    def line_of(row: int) -> int:
-        line = header_end + 1 + row
-        for skipped in empty:  # in increasing order
-            line += skipped <= line
-        return line
-
-    # Each column's blocks are let go as it is joined: one column at a time is held twice.
-    columns = {column: np.concatenate([block.pop(column) for block in kept]) for column in header}
-    return list(tables), columns, line_of
+    tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
+    columns = {column: rows[column].copy() for column in header if column != key}
+    if key:  # each run of one id cell takes its table number at once
+        cells = rows[key]
+        run = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
+        numbers = [tables.setdefault(i.decode("latin-1").strip(), len(tables))
+                   for i in cells[run].tolist()]
+        columns[key] = np.repeat(np.array(numbers, np.intp), np.diff(run, append=len(cells)))
+    # A row's line: 2, plus the rows and the empty lines before it.
+    return list(tables), columns, lambda row: 2 + row + int(np.searchsorted(before, row, "right"))
 
 
 def _parse_cells(texts, convert, stand_in, dtype):

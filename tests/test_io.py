@@ -717,21 +717,22 @@ def test_cohort_reader_matches_reference_across_blocks(tmp_path_factory, kind, d
     reader, reference = _COHORT_FILES[kind][:2]
     f = tmp_path_factory.mktemp("cohort") / "table.csv"
     f.write_bytes(data.draw(_regular_file(kind)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_BLOCK_LINES", 2)
-        _assert_same_outcome(reader, reference, f)
+    _assert_same_outcome(reader, reference, f)
 
 
 # Files the columnar pass would misread without its checks: csv removes the
 # quotes, a lone CR ends a line, a NUL (which csv rejects before Python
-# 3.11), a cell over the csv field limit, and a cost profile cohort off the
-# grid (the row loop names its line).
+# 3.11), a cell over the csv field limit (also a number on a last line
+# without a newline), an id outside latin-1 (which a bytes column cannot
+# hold), and a cost profile cohort off the grid (the row loop names its line).
 _SPLIT_FILES = {
     "population": (
         '"X",2010,0,4,1\n"X",2010,5,9,2\n',
         "X\r,2010,0,4,1\nX\r,2010,5,9,2\n",
         "X\0,2010,0,4,1\nX\0,2010,5,9,2\n",
         "".join(f"{'Y' * (csv.field_size_limit() + 1)},2010,{lo},{lo + 4},1\n" for lo in (0, 5)),
+        f"Y,2010,0,4,1\nY,2010,5,9,{'0' * (csv.field_size_limit() + 1)}1",
+        "\u20acY,2010,0,4,1\n\u20acY,2010,5,9,2\n",
     ),
     "cost_profiles": ("A,0,4,1\nA,5,9,2\nA,10,14,3\nA,15,19,4\n",),
 }
@@ -762,7 +763,6 @@ def test_columnar_pass_serves_regular_files(tmp_path, monkeypatch, data_dir):
         expected = {folder: [read(folder) for read in _COHORT_READS]
                     for folder in (data_dir, tmp_path)}
     monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
-    monkeypatch.setattr(io, "_BLOCK_LINES", 7)  # several blocks per file, one row split off
     for folder, want in expected.items():
         for read, (grid, tables) in zip(_COHORT_READS, want):
             got_grid, got_tables = read(folder)
@@ -815,6 +815,16 @@ _PARSER_EDGE_FILES = {
     **{f"id {table_id!r}": ("population", "\n".join(
         row.replace("X", table_id) for row in _POPULATION_ROWS) + "\n")
        for table_id in ("A\u2028B", "A\x85B", "\u2028A\x85", "A\xa0B")},
+    "an id as wide as its line leaves room for": ("population", "WWWWWWWWW,2,0,4,1"),
+    # int32 bounds whose difference wraps to the bin width.
+    "a bin that wraps in int32": ("population", "\n".join(
+        _POPULATION_ROWS + ["X,2010,2147483645,-2147483647,1"]) + "\n"),
+    "a cost bin that wraps in int32": ("cost_profiles", "profile_id,cohort_lo,cohort_hi,"
+                                       "eur_per_capita\nA,0,4,1\nA,5,9,2\n"
+                                       "A,2147483645,-2147483647,1\n"),
+    "dates past int32": ("population", "\n".join(
+        row.replace(",2010,", ",4294967296,").replace(",2015,", ",4294967301,")
+        for row in _POPULATION_ROWS) + "\n"),
     "a block of blank lines": ("population", "\n" * 4096 + "\n".join(_POPULATION_ROWS) + "\n"),
     "a whitespace-only line": ("population", "\n".join(
         _POPULATION_ROWS[:3] + ["   "] + _POPULATION_ROWS[3:]) + "\n"),
@@ -832,6 +842,29 @@ def test_cohort_reader_matches_reference_where_parsers_could_differ(tmp_path, na
     f = tmp_path / "table.csv"
     f.write_text(text, encoding="utf-8")
     _assert_same_outcome(reader, reference, f)
+
+
+# Past ``io._IN_MEMORY_BYTES`` the columnar pass hands numpy the path, not the
+# lines, and numpy's loadtxt picks a decompressor by the file name's extension.
+_LARGE_ROWS = [row.replace("X", f"S{i}") for i in range(1000) for row in _POPULATION_ROWS]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_file_named_as_compressed_reads_as_text(tmp_path, suffix):
+    f = tmp_path / f"population.csv{suffix}"
+    f.write_text("\n".join([_POPULATION_HEADER, *_LARGE_ROWS]) + "\n")
+    assert f.stat().st_size > io._IN_MEMORY_BYTES
+    _assert_same_outcome(_population, _reference_population, f)
+
+
+@pytest.mark.parametrize("fault", ["", "S,2010,0,4,1", "S,2010,0,5,1", "S,2010,0,4,-1"])
+def test_a_large_file_with_empty_lines_reads_in_one_pass(tmp_path, monkeypatch, fault):
+    f = tmp_path / "pop.csv"
+    f.write_text(f"{_POPULATION_HEADER}\n\n" + "\n\n".join(_LARGE_ROWS + [fault]) + "\n")
+    assert f.stat().st_size > io._IN_MEMORY_BYTES
+    want = _outcome(_reference_population, f)
+    monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
+    _assert_same_outcome(_population, lambda path: want, f)
 
 
 @pytest.mark.parametrize("source", ["bundled", "generated"])
@@ -866,6 +899,22 @@ def test_columnar_pass_memory_stays_linear_in_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_population_read_memory_stays_near_the_file_size(tmp_path):
+    # The seed-0 ingest population: 88,000 rows, 2.3 MB. An id column of
+    # Python strings, one per row, would take the peak past the bound.
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "benchmarks" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_ingest_inputs(0, tmp_path)
+    tracemalloc.start()
+    try:
+        io.read_population_csv(tmp_path / "population.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 # Files np.loadtxt accepts that each fail one check. The block parser reads each
@@ -997,6 +1046,48 @@ def test_study_records_match_the_row_loop(tmp_path, name):
     assert _outcome(_study_records, f) == _outcome(_reference_study_records, f)
 
 
+# Each file above once more, parsed from its path as a file past
+# ``io._IN_MEMORY_BYTES`` would be: a small file is parsed from its lines.
+_FILES_BY_NAME = {
+    **{f"{label} {kind} {i}": (kind, f"{_EDGE_HEADERS[kind]}\n{rows}".encode())
+       for label, files in (("edge", _EDGE_FILES), ("split", _SPLIT_FILES))
+       for kind, texts in files.items() for i, rows in enumerate(texts)},
+    **{f"parser {name}": (kind, (f"{_POPULATION_HEADER}\n{text}" if kind == "population"
+                                 else text).encode())
+       for name, (kind, text) in _PARSER_EDGE_FILES.items()},
+    **{f"checked {name}": (kind, f"{_HEADERS[kind]}\n{rows}".encode())
+       for name, (kind, rows) in _CHECKED_FILES.items()},
+    **{f"read error {name}": ("population", f"{_POPULATION_HEADER}\n".encode() + rows)
+       for name, rows in _READ_ERROR_FILES.items()},
+    **{f"study {name}": ("study", f"{_STUDY_HEADER}\n{rows}".encode())
+       for name, rows in _STUDY_FILES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILES_BY_NAME))
+def test_each_file_reads_the_same_through_its_path(tmp_path, monkeypatch, name):
+    kind, text = _FILES_BY_NAME[name]
+    f = tmp_path / "table.csv"
+    f.write_bytes(text)
+    monkeypatch.setattr(io, "_IN_MEMORY_BYTES", -1)
+    if kind == "study":
+        assert _outcome(_study_records, f) == _outcome(_reference_study_records, f)
+    else:
+        _assert_same_outcome(*_COHORT_FILES[kind][:2], f)
+
+
+@pytest.mark.parametrize("kind", sorted(_COHORT_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cohort_reader_matches_reference_through_the_path(tmp_path_factory, kind, data):
+    reader, reference = _COHORT_FILES[kind][:2]
+    f = tmp_path_factory.mktemp("cohort") / "table.csv"
+    f.write_bytes(data.draw(_regular_file(kind, ("keep", "pad", "blank"))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_IN_MEMORY_BYTES", -1)
+        _assert_same_outcome(reader, reference, f)
+
+
 _STUDY_CELLS = {  # each column's cells: valid ones and ones a parser could take differently
     "cohort_lo": ("0", "5", "007", "-0", "1_0", "1e3", "99999999999999999999", " 5 "),
     "cohort_hi": ("9", "99", "+14", "١٢", "4", "99999999999999999999"),
@@ -1027,7 +1118,6 @@ def test_study_records_of_regular_files_take_the_columnar_pass(tmp_path, monkeyp
     files = (data_dir / "rr_mortality.csv", tmp_path / "rr_mortality.csv")
     want = [_reference_study_records(f) for f in files]
     monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
-    monkeypatch.setattr(io, "_BLOCK_LINES", 7)  # several blocks per file
     for f, records in zip(files, want):
         got = io.read_rr_mortality_csv(f)
         assert isinstance(got, StudyRecords) and got.age_lo.dtype == np.int64
