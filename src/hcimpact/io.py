@@ -4,6 +4,12 @@ with fixed formatting.
 All engine files are plain CSV. Numeric output is fixed at 6 significant
 digits so reruns diff cleanly; every writer here has a matching reader
 and written files re-parse verbatim.
+
+Every input file and every result file is read by the same two parsers,
+one ``np.loadtxt`` pass with the ``csv`` row loop as its fallback
+(:func:`_read_table`), and checked by the one checker, :func:`_check`,
+which fails with the ``file:line`` message a reader going row by row
+would give.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -103,31 +110,36 @@ def _fail(path, msg: str, line: int | None = None) -> None:
 def open_text(path):
     """Open an input file as UTF-8 text for ``csv``; a leading BOM is dropped.
 
-    A missing file, a byte that does not decode, or a line ``csv`` cannot
-    split raises ``ValidationError`` naming the file (and the line of the
-    bad byte).
+    A missing file or a line ``csv`` cannot split raises ``ValidationError``
+    naming the file. A byte that does not decode on line ``n`` fails with
+    that line: at once for line 1, else once the reading has passed line
+    ``n - 1``, as the file's lines before ``n`` are all it reads, so the rows
+    on them are checked first whatever the size of the file.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        raw = Path(path).read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         _fail(path, "file does not exist")
     try:
-        with fh:
-            yield fh
-    except UnicodeDecodeError:
-        raw = Path(path).read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            _fail(path, "not valid UTF-8", raw.count(b"\n", 0, exc.start) + 1)
-        _fail(path, "not valid UTF-8")
+        text, bad = raw.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        bad = raw.count(b"\n", 0, exc.start) + 1
+        if bad == 1:
+            _fail(path, "not valid UTF-8", bad)
+        text = raw[: raw.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+    fh = StringIO(text.removeprefix("\ufeff"), newline="")
+    try:
+        yield fh
     except csv.Error as exc:
         _fail(path, str(exc))
+    if bad and not fh.read(1):
+        _fail(path, "not valid UTF-8", bad)
 
 
-def _header(path, first, required: Sequence[str], optional: Sequence[str]) -> list[str]:
+def _header(path, first, columns: Collection[str], optional: Collection[str]) -> list[str]:
     """The header row ``first`` (None for an empty file), its cells stripped: no
-    cell empty, every ``required`` column, none twice or outside ``optional``."""
+    cell empty, each of ``columns`` but those in ``optional``, none twice or
+    outside ``columns``."""
     if first is None:
         _fail(path, "empty file, expected a header row")
     header = [h.strip() for h in first]
@@ -136,60 +148,13 @@ def _header(path, first, required: Sequence[str], optional: Sequence[str]) -> li
     duplicate = sorted({h for h in header if header.count(h) > 1})
     if duplicate:
         _fail(path, f"duplicate column(s): {', '.join(duplicate)}")
-    missing = [c for c in required if c not in header]
+    missing = [c for c in columns if c not in header and c not in optional]
     if missing:
         _fail(path, f"missing required column(s): {', '.join(missing)}")
-    unknown = [c for c in header if c not in (*required, *optional)]
+    unknown = [c for c in header if c not in columns]
     if unknown:
         _fail(path, f"unknown column(s): {', '.join(unknown)}")
     return header
-
-
-def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield ``(line_number, {column: cell})`` for each non-blank row after a valid
-    :func:`_header`, its cells stripped and a short row padded with empty cells."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(path, next(reader, None), required, optional)
-        for row in reader:
-            if len(row) > len(header):
-                _fail(path, "row has more fields than the header", reader.line_num)
-            if row:
-                cells = [v.strip() for v in row] + [""] * (len(header) - len(row))
-                yield reader.line_num, dict(zip(header, cells))
-
-
-def _parse_float(path, line: int, column: str, text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        _fail(path, f"column {column!r}: {text!r} is not a number", line)
-    if not math.isfinite(v):
-        _fail(path, f"column {column!r}: value must be finite", line)
-    return v
-
-
-def _parse_int(path, line: int, column: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        _fail(path, f"column {column!r}: {text!r} is not an integer", line)
-
-
-def _parse_flag(path, line: int, column: str, text: str) -> bool:
-    if text not in ("0", "1"):
-        _fail(path, f"column {column!r}: expected 0 or 1, got {text!r}", line)
-    return text == "1"
-
-
-def _text(path, line: int, column: str, text: str) -> str:
-    return text
-
-
-def _read_records(path, parsers):
-    """Yield ``(line, values)``, each column of ``parsers`` parsed by its parser."""
-    for line, row in _read_rows(path, tuple(parsers)):
-        yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
 
 
 def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None, unused=()):
@@ -216,7 +181,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
         "cohort_lo", "cohort_hi", value_column)
     dtypes = {column: object if column == key or column in unused else
               float if column == value_column else np.int32 for column in (*required, *unused)}
-    ids, columns, line, bad, stop = _read_table(path, required, unused, dtypes, key)
+    ids, columns, line, bad, stop = _read_table(path, dtypes, key, unused)
     value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
     n = len(value)
     table = columns[key] if key else np.zeros(n, np.intp)
@@ -239,7 +204,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
 
     _check(path, n, line, stop, [
         (_first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
-        *(_integer(c, bad.get(c, {}), n) for c in ("date", "cohort_lo", "cohort_hi")),
+        *_parsed(columns, bad, required[bool(key):-1]),  # the date and the cohort bounds
         (_first((hi - lo != COHORT_WIDTH - 1) | (hi < lo)),  # hi < lo: an int32 wrap to 4
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not a {COHORT_WIDTH}-year bin"),
         (_first(starts.take(cohort, mode="clip") != lo),
@@ -281,18 +246,31 @@ def _number(column, numbers, cells):  # as in :func:`_integer`; such a cell is n
         f"{cells[row]!r} is not a number" if row in cells else "value must be finite")
 
 
-def _check(path, n, line, stop, checks) -> None:
+def _parsed(columns, bad, names) -> list:
+    """The checks that each cell of the number columns ``names`` parsed, in
+    that order: :func:`_number` for a float column, else :func:`_integer`."""
+    return [_number(c, columns[c], bad.get(c, {})) if columns[c].dtype == float
+            else _integer(c, bad.get(c, {}), len(columns[c])) for c in names]
+
+
+def _flag(column, texts):  # the check that each text of ``texts`` is ``0`` or ``1``
+    return _first((texts != "0") & (texts != "1")), (
+        lambda row: f"column {column!r}: expected 0 or 1, got {texts[row]!r}")
+
+
+def _check(path, n, line, stop, checks, empty=False) -> None:
     """Fail as a reader going row by row would. ``checks`` lists the checks
     of a row in order, each as ``(the first of the n rows it fails on, or n;
     the message of a row)``: the error is at the first of those rows (line
     ``line(row)``), from the first check that fails there. Else ``stop``, the
-    error that ended the reading, is raised; else a file of no rows fails."""
+    error that ended the reading, is raised; else a file of no rows fails,
+    unless ``empty``."""
     row, i = min((row, i) for i, (row, _) in enumerate(checks))
     if row < n:
         _fail(path, checks[i][1](row), line(row))
     if stop is not None:
         raise stop
-    if not n:
+    if not n and not empty:
         _fail(path, "no data rows")
 
 
@@ -302,14 +280,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
-def _read_table(path, required, optional, dtypes, key=None):
+def _read_table(path, dtypes, key=None, optional=()):
     """``(ids, columns, line, bad, stop)`` of a file with a valid header (see
-    :func:`_read_cohort_rows`), each column read as its dtype in ``dtypes``:
-    by :func:`_read_cohort_blocks` in one ``np.loadtxt`` of the path where it
-    accepts the file, else by the row loop, :func:`_read_cohort_rows`."""
-    parsed = _read_cohort_blocks(path, required, optional, dtypes, key)
-    return (*parsed, {}, None) if parsed else _read_cohort_rows(
-        path, required, optional, dtypes, key)
+    :func:`_read_cohort_rows`), each column read as its dtype in ``dtypes``
+    and a text column (dtype object) stripped: by :func:`_read_cohort_blocks`
+    in one ``np.loadtxt`` of the path where it accepts the file, else by the
+    row loop, :func:`_read_cohort_rows`. The columns in ``optional`` may be
+    absent."""
+    parsed = _read_cohort_blocks(path, dtypes, key, optional)
+    return (*parsed, {}, None) if parsed else _read_cohort_rows(path, dtypes, key, optional)
 
 
 #: The largest file :func:`_read_cohort_blocks` parses from its lines in
@@ -319,7 +298,7 @@ def _read_table(path, required, optional, dtypes, key=None):
 _IN_MEMORY_BYTES = 2**16
 
 
-def _read_cohort_blocks(path, required, optional, dtypes, key=None):
+def _read_cohort_blocks(path, dtypes, key, optional):
     """The data lines of the file at ``path``, after a valid :func:`_header`,
     as ``(ids, columns, line)`` (see :func:`_read_cohort_rows`); None for a
     file the row loop reads.
@@ -346,14 +325,14 @@ def _read_cohort_blocks(path, required, optional, dtypes, key=None):
         return None
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
     if b'"' in raw or b"\r" in raw or b"\0" in raw or not len(ends) or (
-            Path(path).suffix in (".bz2", ".gz", ".lzma", ".xz")):  # numpy would decompress it
+            str(path).endswith((".bz2", ".gz", ".lzma", ".xz"))):  # numpy would decompress it
         return None
     # Each data line's length with its newline; the last counts one, present or not.
     widths = np.append(ends[1:], len(raw)) - ends
     if max(ends[0] + 1, widths.max()) > csv.field_size_limit():
         return None
     header = _header(path, next(csv.reader([raw[: ends[0] + 1].decode("utf-8-sig")])),
-                     required, optional)
+                     dtypes, optional)
     empty = np.flatnonzero(widths[:-1] == 1)  # the number of each empty line, less 2
     before = empty - np.arange(len(empty))  # the data rows before each empty line
     # An id leaves a comma for each other cell and a character for each number.
@@ -369,22 +348,23 @@ def _read_cohort_blocks(path, required, optional, dtypes, key=None):
         except (ValueError, OverflowError, Warning, OSError):
             return None
     tables: dict[str | None, int] = {} if key else {None: 0}  # id: table number
-    columns = {column: rows[column].copy() for column in header if column != key}
+    columns = {c: np.array([t.strip() for t in rows[c].tolist()], object)
+               if dtypes[c] is object else rows[c].copy() for c in header if c != key}
     if key:  # each run of one id cell takes its table number at once
         cells = rows[key]
-        run = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
+        run = np.append(True, cells[1:] != cells[:-1])  # the first row of each run
         numbers = [tables.setdefault(i.decode("latin-1").strip(), len(tables))
                    for i in cells[run].tolist()]
-        columns[key] = np.repeat(np.array(numbers, np.intp), np.diff(run, append=len(cells)))
+        columns[key] = np.array(numbers, np.intp)[np.cumsum(run) - 1]
     # A row's line: 2, plus the rows and the empty lines before it.
     return list(tables), columns, lambda row: 2 + row + int(np.searchsorted(before, row, "right"))
 
 
 def _parse_cells(texts, convert, stand_in, dtype):
-    """An array of ``convert`` of each stripped text, and ``{index: stripped
-    text}`` of the texts it refuses, which stand as ``stand_in``."""
+    """An array of ``convert`` of each text, and ``{index: text}`` of the
+    texts it refuses, which stand as ``stand_in``."""
     values, bad = [], {}
-    for i, text in enumerate(map(str.strip, texts)):
+    for i, text in enumerate(texts):
         try:
             values.append(convert(text))
         except ValueError:
@@ -393,30 +373,38 @@ def _parse_cells(texts, convert, stand_in, dtype):
     return np.array(values, dtype), bad
 
 
-def _read_cohort_rows(path, required, optional, dtypes, key):
-    """Any table, read row by row by :func:`_read_rows`: ``(ids, columns,
-    line, bad, stop)``.
+def _read_cohort_rows(path, dtypes, key, optional):
+    """Any table, read row by row by ``csv`` after a valid :func:`_header`:
+    ``(ids, columns, line, bad, stop)``.
 
     ``columns`` maps the id column ``key`` to each row's table number, an
     index into ``ids`` (the stripped ids in order of first appearance), and
-    ``line(row)`` is a row's line. A column of dtype object keeps its
-    stripped texts; the others are parsed by ``float`` or, for int64, by
-    ``int``: ``bad`` maps a number column to ``{row: stripped text}`` of the
-    cells that did not parse. ``stop`` is the error that ended the reading,
-    or None: a row with more fields than the header, a line ``csv`` cannot
-    split or a byte that does not decode. It is the file's error if the
-    rows before it pass.
+    ``line(row)`` is a row's line (an empty line holds no row). A cell is
+    stripped; a short row reads as padded with empty cells, as does an
+    absent optional column. A column of dtype object keeps its texts; the
+    others are parsed by ``float`` or, for an integer dtype, by ``int``:
+    ``bad`` maps a number column to ``{row: text}`` of the cells that did
+    not parse. ``stop`` is the error that ended the reading, or None: a
+    header :func:`_header` refuses, a row with more fields than the header,
+    a line ``csv`` cannot split or a byte that does not decode. It is the
+    file's error if the rows before it pass.
     """
     rows, lines, stop = [], [], None
     try:
-        for line, row in _read_rows(path, required, optional):
-            lines.append(line)
-            rows.append(row)
+        with open_text(path) as fh:
+            reader = csv.reader(fh)
+            header = _header(path, next(reader, None), dtypes, optional)
+            for row in reader:
+                if len(row) > len(header):
+                    _fail(path, "row has more fields than the header", reader.line_num)
+                if row:
+                    lines.append(reader.line_num)
+                    rows.append(dict(zip(header, map(str.strip, row))))
     except ValidationError as exc:
         stop = exc
     tables, columns, bad = {}, {}, {}
-    for column in (*required, *optional):
-        texts = [row.get(column, "") for row in rows]  # an optional column may be absent
+    for column in dtypes:
+        texts = [row.get(column, "") for row in rows]
         if column == key:
             columns[column] = np.array([tables.setdefault(text, len(tables)) for text in texts],
                                        np.intp)
@@ -500,35 +488,35 @@ def read_rr_mortality_csv(path) -> StudyRecords:
     ``Sequence[StudyRecord]``. Each row's cohort bounds must be integers,
     its risk bounds finite numbers, its flag ``0`` or ``1`` and its record
     valid (:func:`first_bad_record`), checked in that order."""
-    _, columns, line, bad, stop = _read_table(path, tuple(_STUDY_COLUMNS), (), _STUDY_COLUMNS)
-    lo, hi = columns["cohort_lo"], columns["cohort_hi"]
+    _, columns, line, bad, stop = _read_table(path, _STUDY_COLUMNS)
+    lo, hi, flag = columns["cohort_lo"], columns["cohort_hi"], columns["diluted"]
     rr = np.column_stack((columns["rr_lower"], columns["rr_upper"]))
-    flag = columns["diluted"]
-    if not np.all((flag == "0") | (flag == "1")):  # Python strips: a str array drops end NULs
-        flag = np.array(list(map(str.strip, flag.tolist())), object)
-    n, one = len(flag), flag == "1"
     record, problem = first_bad_record(lo, hi, rr)
-    _check(path, n, line, stop, [
-        *(_integer(c, bad.get(c, {}), n) for c in ("cohort_lo", "cohort_hi")),
-        *(_number(c, columns[c], bad.get(c, {})) for c in ("rr_lower", "rr_upper")),
-        (_first(~(one | (flag == "0"))),
-         lambda row: f"column 'diluted': expected 0 or 1, got {flag[row]!r}"),
+    _check(path, len(flag), line, stop, [
+        *_parsed(columns, bad, ("cohort_lo", "cohort_hi", "rr_lower", "rr_upper")),
+        _flag("diluted", flag),
         (record, lambda row: problem),
     ])
-    return StudyRecords(lo, hi, rr, one, tuple(map(str.strip, columns["source_tag"].tolist())))
+    return StudyRecords(lo, hi, rr, flag == "1", tuple(columns["source_tag"].tolist()))
 
 
-def _read_service_rows(path, columns, parse) -> dict[str, float]:
-    """One value per service row, from ``parse(line, row)``, keyed by service code."""
-    values: dict[str, float] = {}
-    for line, row in _read_rows(path, ("service", *columns)):
-        service = row["service"]
-        if service not in SERVICES:
-            _fail(path, f"unknown service {service!r}; valid: {', '.join(SERVICES)}", line)
-        if service in values:
-            _fail(path, f"duplicate service {service}", line)
-        values[service] = parse(line, row)
-    return values
+def _read_services(path, dtypes, checks=lambda columns: ()) -> dict[str, tuple]:
+    """A file of one row per service as ``{service: (its values of the
+    columns of dtypes, in order)}``. A row fails, in this order, on an
+    unknown or repeated service, a number that does not parse and then
+    ``checks(columns)``; a file of no rows passes."""
+    services, columns, line, bad, stop = _read_table(path, {"service": object, **dtypes}, "service")
+    table = columns["service"]
+    known = np.array([s in SERVICES for s in services], bool)
+    _check(path, len(table), line, stop, [
+        (_first(~known[table]),
+         lambda row: f"unknown service {services[table[row]]!r}; valid: {', '.join(SERVICES)}"),
+        (_first(table != np.arange(len(table))),  # a new service takes the next index
+         lambda row: f"duplicate service {services[table[row]]}"),
+        *_parsed(columns, bad, [c for c in dtypes if dtypes[c] is float]),
+        *checks(columns),
+    ], empty=True)
+    return dict(zip(services, zip(*(columns[c].tolist() for c in dtypes))))
 
 
 def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
@@ -537,16 +525,13 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
     Pharmaceutical, rehabilitation and minor rows may be omitted and
     default to 1.00.
     """
-
-    def parse(line, row) -> float:
-        rr = _parse_float(path, line, "rr", row["rr"])
-        if rr < 0.0:
-            _fail(path, f"negative relative risk {rr}", line)
-        if _parse_flag(path, line, "diluted", row["diluted"]):
-            return rr
-        return dilute_relative_risk(RelativeRisk(rr), labor).value
-
-    values = _read_service_rows(path, ("rr", "diluted"), parse)
+    rows = _read_services(path, {"rr": float, "diluted": object}, lambda columns: [
+        (_first(columns["rr"] < 0.0),
+         lambda row: f"negative relative risk {float(columns['rr'][row])}"),
+        _flag("diluted", columns["diluted"]),
+    ])
+    values = {service: rr if flag == "1" else dilute_relative_risk(RelativeRisk(rr), labor).value
+              for service, (rr, flag) in rows.items()}
     for required in ("H", "S", "GP"):
         if required not in values:
             _fail(path, f"missing service row {required!r}")
@@ -572,10 +557,8 @@ def read_ds_ratios_csv(path, grid: CohortGrid) -> Tables[DSRatioProfile]:
 
 
 def read_shares_csv(path) -> ExpenditureShares:
-    values = _read_service_rows(
-        path, ("fraction",),
-        lambda line, row: _parse_float(path, line, "fraction", row["fraction"]),
-    )
+    values = {service: fraction for service, (fraction,) in
+              _read_services(path, {"fraction": float}).items()}
     missing = [s for s in SERVICES if s not in values]
     if missing:
         _fail(path, f"missing service row(s): {', '.join(missing)}")
@@ -586,16 +569,17 @@ def read_shares_csv(path) -> ExpenditureShares:
 
 
 def read_gdp_csv(path) -> dict[int, float]:
-    gdp: dict[int, float] = {}
-    for line, (date, v) in _read_records(path, {"date": _parse_int, "eur_millions": _parse_float}):
-        if v <= 0.0:
-            _fail(path, f"GDP must be positive, got {v}", line)
-        if date in gdp:
-            _fail(path, f"duplicate date {date}", line)
-        gdp[date] = v
-    if not gdp:
-        _fail(path, "no data rows")
-    return gdp
+    _, columns, line, bad, stop = _read_table(path, {"date": np.int64, "eur_millions": float})
+    date, v = columns["date"], columns["eur_millions"]
+    first: dict[int, int] = {}  # each date's first row
+    repeat = next((row for row, d in enumerate(date.tolist()) if first.setdefault(d, row) < row),
+                  len(v))
+    _check(path, len(v), line, stop, [
+        *_parsed(columns, bad, ("date", "eur_millions")),
+        (_first(v <= 0.0), lambda row: f"GDP must be positive, got {float(v[row])}"),
+        (repeat, lambda row: f"duplicate date {date[row]}"),
+    ])
+    return dict(zip(date.tolist(), v.tolist()))
 
 
 # ------------------------------------------------------------ impact results
@@ -682,11 +666,20 @@ def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:
     Path(out).write_text(impact_csv_text(rows))
 
 
+def _read_result_rows(path, dtypes) -> list[tuple]:
+    """Each row of a result file, its columns in the order of ``dtypes``, as a
+    tuple of texts, ``int`` and ``float``; a file of no rows gives []."""
+    _, columns, line, bad, stop = _read_table(path, dtypes)
+    rows = list(zip(*(columns[c].tolist() for c in dtypes)))
+    _check(path, len(rows), line, stop,
+           _parsed(columns, bad, [c for c in dtypes if dtypes[c] is not object]), empty=True)
+    return rows
+
+
 def read_impact_csv(path) -> list[dict[str, str | float]]:
     """Parse an impact/sensitivity result table into typed row dicts."""
-    parsers = dict.fromkeys(IMPACT_COLUMNS, _parse_float)
-    parsers.update(model=_text, pop_scenario=_text, rr_selector=_text)
-    return [dict(zip(IMPACT_COLUMNS, values)) for _, values in _read_records(path, parsers)]
+    dtypes = dict.fromkeys(IMPACT_COLUMNS, float) | dict.fromkeys(IMPACT_COLUMNS[:3], object)
+    return [dict(zip(IMPACT_COLUMNS, row)) for row in _read_result_rows(path, dtypes)]
 
 
 # -------------------------------------------------------- expenditure series
@@ -704,8 +697,8 @@ def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
 
 
 def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
-    parsers = dict(zip(EXPENDITURE_COLUMNS, (_text, _text, _parse_int, _parse_float)))
-    return [tuple(values) for _, values in _read_records(path, parsers)]
+    dtypes = dict(zip(EXPENDITURE_COLUMNS, (object, object, np.int64, float)))
+    return _read_result_rows(path, dtypes)
 
 
 # ------------------------------------------------------------- plot series
@@ -724,5 +717,4 @@ def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
-    parsers = dict.fromkeys(SERIES_COLUMNS, _parse_float)
-    return [tuple(xy) for _, xy in _read_records(path, parsers)]
+    return _read_result_rows(path, dict.fromkeys(SERIES_COLUMNS, float))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import itertools
 import math
 import shutil
 import subprocess
@@ -27,8 +28,15 @@ from hcimpact import (
     cri,
 )
 from hcimpact import io
+from hcimpact.expenditure import ExpenditureShares
 from hcimpact.grid import COHORT_WIDTH, CohortGrid
 from hcimpact.manifest import parse_manifest
+from hcimpact.relative_risk import (
+    SERVICES,
+    RelativeRisk,
+    UtilizationRRSet,
+    dilute_relative_risk,
+)
 
 from conftest import REPO_ROOT, grid_of
 
@@ -725,22 +733,30 @@ def test_cohort_reader_matches_reference_across_blocks(tmp_path_factory, kind, d
 # 3.11), a cell over the csv field limit (also a number on a last line
 # without a newline), an id outside latin-1 (which a bytes column cannot
 # hold), and a cost profile cohort off the grid (the row loop names its line).
+# The two cases with a cell over the field limit are named ("long-"), as their
+# text would make a test id of over 100,000 characters.
+_OVER_FIELD_LIMIT = {
+    "long-id":
+        "".join(f"{'Y' * (csv.field_size_limit() + 1)},2010,{lo},{lo + 4},1\n" for lo in (0, 5)),
+    "long-value": f"Y,2010,0,4,1\nY,2010,5,9,{'0' * (csv.field_size_limit() + 1)}1",
+}
 _SPLIT_FILES = {
     "population": (
         '"X",2010,0,4,1\n"X",2010,5,9,2\n',
         "X\r,2010,0,4,1\nX\r,2010,5,9,2\n",
         "X\0,2010,0,4,1\nX\0,2010,5,9,2\n",
-        "".join(f"{'Y' * (csv.field_size_limit() + 1)},2010,{lo},{lo + 4},1\n" for lo in (0, 5)),
-        f"Y,2010,0,4,1\nY,2010,5,9,{'0' * (csv.field_size_limit() + 1)}1",
+        *_OVER_FIELD_LIMIT.values(),
         "\u20acY,2010,0,4,1\n\u20acY,2010,5,9,2\n",
     ),
     "cost_profiles": ("A,0,4,1\nA,5,9,2\nA,10,14,3\nA,15,19,4\n",),
 }
+_SPLIT_IDS = {rows: name for name, rows in _OVER_FIELD_LIMIT.items()}
 
 
-@pytest.mark.parametrize(
-    "kind, rows", [(kind, rows) for kind, files in _SPLIT_FILES.items() for rows in files]
-)
+@pytest.mark.parametrize("kind, rows", [
+    pytest.param(kind, rows, id=f"{kind}-{_SPLIT_IDS[rows]}" if rows in _SPLIT_IDS else None)
+    for kind, files in _SPLIT_FILES.items() for rows in files
+])
 def test_cohort_reader_matches_reference_on_files_csv_splits(tmp_path, kind, rows):
     reader, reference = _COHORT_FILES[kind][:2]
     f = tmp_path / "table.csv"
@@ -968,19 +984,58 @@ def test_a_read_error_follows_the_checks_of_earlier_rows(tmp_path, name):
     _assert_same_outcome(_population, _reference_population, f)
 
 
+# A bad byte on line 4 after a row error on line 2: the error of line 2 comes
+# first, whether the bad byte falls in the first 8 KiB a decoder reads at once
+# or, past 2,000 valid rows, well after it.
+_BAD_BYTE_FILES = {  # kind: (reader, header, the row of line 2, a valid row, its message)
+    "population": (io.read_population_csv, _POPULATION_HEADER, ",2010,0,4,1", "S{},2010,0,4,1",
+                   "empty scenario id"),
+    "gdp": (io.read_gdp_csv, "date,eur_millions", "x,1", "{},1",
+            "column 'date': 'x' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("filler", [0, 2000])
+@pytest.mark.parametrize("kind", sorted(_BAD_BYTE_FILES))
+def test_a_bad_byte_follows_the_rows_before_its_line(tmp_path, kind, filler):
+    reader, header, bad_row, row, message = _BAD_BYTE_FILES[kind]
+    f = tmp_path / "table.csv"
+    lines = [header, bad_row, *map(row.format, range(filler + 1))]
+    f.write_bytes("\n".join(lines).encode() + b"\n9,\xff\n")
+    with pytest.raises(ValidationError) as exc:
+        reader(f)
+    assert str(exc.value) == f"{f}:2: {message}"
+
+
 # The study-record file: the columnar pass against the row loop it stands in
-# for, ``_read_records`` plus ``StudyRecord``. Each file must give the same
+# for, ``_reference_records`` plus ``StudyRecord``. Each file must give the same
 # records, or fail with the same ``file:line`` message.
 _STUDY_HEADER = "cohort_lo,cohort_hi,rr_lower,rr_upper,diluted,source_tag"
 _STUDY_ROWS = ("0,9,1.0,1.1,1,anchor", "5,14,1.2,1.5,0,study", "10,99,1.05,1.3,1,late")
 
 
+def _reference_flag(path, line, column, text):
+    if text not in ("0", "1"):
+        _reference_fail(path, f"column {column!r}: expected 0 or 1, got {text!r}", line)
+    return text == "1"
+
+
+def _reference_text(path, line, column, text):
+    return text
+
+
+def _reference_records(path, parsers):
+    """``(line, values)`` of each row, each column of ``parsers`` parsed by its parser."""
+    for line, row in _reference_rows(path, tuple(parsers)):
+        yield line, [parse(path, line, column, row[column]) for column, parse in parsers.items()]
+
+
 def _reference_study_records(path):
-    parsers = {"cohort_lo": io._parse_int, "cohort_hi": io._parse_int,
-               "rr_lower": io._parse_float, "rr_upper": io._parse_float,
-               "diluted": io._parse_flag, "source_tag": io._text}
+    parsers = {"cohort_lo": _reference_int, "cohort_hi": _reference_int,
+               "rr_lower": _reference_float, "rr_upper": _reference_float,
+               "diluted": _reference_flag, "source_tag": _reference_text}
     records = []
-    for line, values in io._read_records(path, parsers):
+    for line, values in _reference_records(path, parsers):
         try:
             records.append(StudyRecord(*values))
         except ValidationError as exc:
@@ -1129,6 +1184,149 @@ def test_study_record_columns_are_read_only(data_dir):
     for column in (records.age_lo, records.age_hi, records.rr, records.diluted):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
+
+
+# The GDP, service and result readers against the cell-by-cell readers they
+# replaced, frozen here from the same reference helpers: each file must give
+# the same value, with the same Python types, or the same ``file:line`` message.
+
+def _reference_service_rows(path, columns, parse):
+    values = {}
+    for line, row in _reference_rows(path, ("service", *columns)):
+        service = row["service"]
+        if service not in SERVICES:
+            _reference_fail(path, f"unknown service {service!r}; valid: {', '.join(SERVICES)}",
+                            line)
+        if service in values:
+            _reference_fail(path, f"duplicate service {service}", line)
+        values[service] = parse(line, row)
+    return values
+
+
+def _reference_utilization(path, labor=LaborMarketState(0.1)):
+    def parse(line, row):
+        rr = _reference_float(path, line, "rr", row["rr"])
+        if rr < 0.0:
+            _reference_fail(path, f"negative relative risk {rr}", line)
+        if _reference_flag(path, line, "diluted", row["diluted"]):
+            return rr
+        return dilute_relative_risk(RelativeRisk(rr), labor).value
+
+    values = _reference_service_rows(path, ("rr", "diluted"), parse)
+    for required in ("H", "S", "GP"):
+        if required not in values:
+            _reference_fail(path, f"missing service row {required!r}")
+    return UtilizationRRSet(*(values.get(code, 1.0) for code in ("H", "S", "GP", "P", "R", "m")))
+
+
+def _reference_shares(path):
+    values = _reference_service_rows(
+        path, ("fraction",), lambda line, row: _reference_float(path, line, "fraction",
+                                                                row["fraction"]))
+    missing = [s for s in SERVICES if s not in values]
+    if missing:
+        _reference_fail(path, f"missing service row(s): {', '.join(missing)}")
+    try:
+        return ExpenditureShares(*(values[code] for code in SERVICES))
+    except ValidationError as exc:
+        _reference_fail(path, str(exc))
+
+
+def _reference_gdp(path):
+    gdp = {}
+    for line, (date, v) in _reference_records(path, {"date": _reference_int,
+                                                     "eur_millions": _reference_float}):
+        if v <= 0.0:
+            _reference_fail(path, f"GDP must be positive, got {v}", line)
+        if date in gdp:
+            _reference_fail(path, f"duplicate date {date}", line)
+        gdp[date] = v
+    if not gdp:
+        _reference_fail(path, "no data rows")
+    return gdp
+
+
+def _reference_impact(path):
+    parsers = dict.fromkeys(io.IMPACT_COLUMNS, _reference_float)
+    parsers.update(model=_reference_text, pop_scenario=_reference_text, rr_selector=_reference_text)
+    return [dict(zip(io.IMPACT_COLUMNS, values)) for _, values in _reference_records(path, parsers)]
+
+
+def _reference_expenditure(path):
+    parsers = dict(zip(io.EXPENDITURE_COLUMNS,
+                       (_reference_text, _reference_text, _reference_int, _reference_float)))
+    return [tuple(values) for _, values in _reference_records(path, parsers)]
+
+
+def _reference_series(path):
+    return [tuple(xy) for _, xy in _reference_records(path, dict.fromkeys(io.SERIES_COLUMNS,
+                                                                            _reference_float))]
+
+
+_SMALL_FILES = {  # kind: (reader, reference, a valid file)
+    "gdp": (io.read_gdp_csv, _reference_gdp,
+            "date,eur_millions\n2010,1520346\n2015,1520346.5\n2020,1550753\n"),
+    "utilization": (lambda f: io.read_rr_utilization_csv(f, LaborMarketState(0.1)),
+                    _reference_utilization,
+                    "service,rr,diluted\nH,1.33,0\nS,1.63,0\nGP,1.20,0\nP,1.00,1\n"),
+    "shares": (io.read_shares_csv, _reference_shares,
+               "service,fraction\nH,0.71\nP,0.10\nS,0.04\nGP,0.06\nR,0.02\nm,0.07\n"),
+    "impact": (io.read_impact_csv, _reference_impact,
+               ",".join(io.IMPACT_COLUMNS) + "\nPD,PopSV-1.7,lower,0.2,1.5,2.5,4,0.01\n"
+               "DC,PopSV-1.7,1.25,0.8,-0,3e-5,7,2.5e-7\n"),
+    "expenditure": (io.read_expenditure_csv, _reference_expenditure,
+                    "model,scenario,date,eur_millions\nDC,BASE,2010,1.5\nDC,BASE,2015,2.5\n"),
+    "series": (io.read_series_csv, _reference_series, "x,y\n0.1,1\n0.2,-2.5\n"),
+}
+_CELL_TEXTS = ("", "x", "nan", "inf", "1e400", "-0.0", "2010.0", "1_0", "99999999999999999999",
+               "1\0", "Q", "H")  # "Q" is no service and "H" repeats the first row's service
+
+
+def _small_files(kind, edit):
+    """The valid file of ``kind`` with each cell set in turn to each text of
+    :data:`_CELL_TEXTS` ("cells"), or each line dropped, doubled, preceded by
+    a blank line or given one more field, and the header alone ("lines");
+    each with and without a final newline."""
+    header, *rows = _SMALL_FILES[kind][2].splitlines()
+    grid = [row.split(",") for row in rows]
+    bodies = []
+    if edit == "cells":
+        for i, j, text in itertools.product(range(len(grid)), range(len(grid[0])), _CELL_TEXTS):
+            edited = [list(row) for row in grid]
+            edited[i][j] = text
+            bodies.append([",".join(row) for row in edited])
+    else:
+        for i, row in enumerate(rows):
+            bodies += [rows[:i] + rows[i + 1:], rows[:i + 1] + rows[i:],
+                       rows[:i] + ["", row] + rows[i + 1:], rows[:i] + [row + ",1"] + rows[i + 1:]]
+        bodies.append([])
+    return [("\n".join([header, *body]) + end).encode() for body in bodies for end in ("\n", "")]
+
+
+def _typed(value):
+    """``value`` with the type of each part beside it; a float by its repr."""
+    if isinstance(value, dict):
+        return [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _typed(dataclasses.astuple(value))
+    return type(value).__name__, repr(value)
+
+
+@pytest.mark.parametrize("source", ["lines", "path"])
+@pytest.mark.parametrize("edit", ["cells", "lines"])
+@pytest.mark.parametrize("kind", sorted(_SMALL_FILES))
+def test_small_readers_match_the_cell_by_cell_reference(tmp_path, monkeypatch, kind, edit,
+                                                        source):
+    reader, reference = _SMALL_FILES[kind][:2]
+    if source == "path":  # parsed from its path, as a file past io._IN_MEMORY_BYTES is
+        monkeypatch.setattr(io, "_IN_MEMORY_BYTES", -1)
+    f = tmp_path / "small.csv"
+    for text in _small_files(kind, edit):
+        f.write_bytes(text)
+        got, want = (_typed(_outcome(read, f)) for read in (reader, reference))
+        assert got == want, text
 
 
 # The per-scenario readers return a read-only mapping that builds each table
