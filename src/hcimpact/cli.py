@@ -80,7 +80,7 @@ def _build_project(manifest: RunManifest, fmt: str):
     initial = populations[initial_id].counts[:, 0]
     for name, rate in zip(names, rates):
         projected = project_population(initial, mortality, BirthRateScenario(name, rate),
-                                       horizon=horizon, scenario=name)
+                                       horizon=horizon)
         if fmt == "table":
             grid = projected.grid
             headers = ["cohort"] + [str(d) for d in grid.dates]

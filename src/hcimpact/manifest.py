@@ -230,29 +230,29 @@ class RunManifest:
 def parse_manifest(path) -> RunManifest:
     """Read a manifest and parse every value in it, before any data file is read."""
     source = Path(path)
-    with io.open_text(source) as fh:
-        text = fh.read()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ValidationError(f"{source}:{lineno}: empty key")
-        if key not in KNOWN_KEYS:
-            import difflib  # only on this error path, so start-up does not pay for it
+    # Inside the ``with``: a bad line before a byte that is not UTF-8 is reported first.
+    with io.open_text(source) as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not key:
+                raise ValidationError(f"{source}:{lineno}: empty key")
+            if key not in KNOWN_KEYS:
+                import difflib  # only on this error path, so start-up does not pay for it
 
-            close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ValidationError(f"{source}:{lineno}: unknown key {key!r}{hint}")
-        if key in values:
-            raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = value
+                close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ValidationError(f"{source}:{lineno}: unknown key {key!r}{hint}")
+            if key in values:
+                raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
+            values[key] = value
     manifest = RunManifest(source=source, values=values)
     for key in values:
         manifest.value(key)

@@ -98,7 +98,6 @@ def project_population(
     mortality: MortalityTable,
     births: BirthRateScenario,
     horizon: int | None = None,
-    scenario: str | None = None,
 ) -> PopulationPath:
     """Project a single-date population forward with the cohort-component step.
 
@@ -136,5 +135,4 @@ def project_population(
             counts[:, i + 1] = nxt
 
     path_grid = CohortGrid(grid.cohort_starts, grid.dates[: last + 1])
-    name = scenario if scenario is not None else births.name
-    return PopulationPath(scenario=name, grid=path_grid, counts=counts)
+    return PopulationPath(scenario=births.name, grid=path_grid, counts=counts)

@@ -14,68 +14,65 @@ from .errors import ValidationError
 
 __all__ = ["render_table", "fmt_cell", "sniff_schema", "render_result_file"]
 
-_SCHEMAS = {
-    ",".join(io.IMPACT_COLUMNS): "impact",
-    ",".join(io.EXPENDITURE_COLUMNS): "expenditure",
-    ",".join(io.POPULATION_COLUMNS): "population",
-    ",".join(io.SERIES_COLUMNS): "series",
+# Each file of rows: its columns and its reader, the rows in column order.
+_ROW_FILES = {
+    "impact": (io.IMPACT_COLUMNS, lambda path: [[*r.values()] for r in io.read_impact_csv(path)]),
+    "expenditure": (io.EXPENDITURE_COLUMNS, io.read_expenditure_csv),
+    "series": (io.SERIES_COLUMNS, io.read_series_csv),
 }
+_SCHEMAS = {",".join(columns): kind for kind, (columns, _) in _ROW_FILES.items()}
+_SCHEMAS[",".join(io.POPULATION_COLUMNS)] = "population"
+
+
+def _cell(value) -> tuple[str, bool]:
+    """A table cell's text and whether it is right-aligned: a number at 1
+    decimal, right; an integer verbatim, right unless it is a bool; a text
+    verbatim, right if ``float`` reads it."""
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return value, False
+        return value, True
+    if isinstance(value, int):
+        return str(value), not isinstance(value, bool)
+    return f"{float(value):.1f}", True
 
 
 def fmt_cell(value) -> str:
-    """Formatted-table cell: numbers at 1 decimal, text verbatim."""
-    if isinstance(value, bool) or isinstance(value, str):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.1f}"
+    """Formatted-table cell text: numbers at 1 decimal, text and integers verbatim."""
+    return _cell(value)[0]
 
 
 def render_table(headers: list[str], rows: list[list]) -> str:
-    """Align columns under their headers; numeric cells right-aligned."""
-    cells = [[fmt_cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-
-    def _is_num(text: str) -> bool:
-        try:
-            float(text)
-            return True
-        except ValueError:
-            return False
-
+    """Align columns under their headers, each row holding a cell per header;
+    numeric cells right-aligned (see :func:`_cell`)."""
+    widths, columns = [], []  # each column's width and its padded cells
+    for i, header in enumerate(headers):
+        cells = [_cell(row[i]) for row in rows]
+        width = max([len(header), *(len(text) for text, _ in cells)])
+        widths.append(width)
+        columns.append([text.rjust(width) if right else text.ljust(width) for text, right in cells])
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for row in cells:
-        lines.append(
-            "  ".join(
-                (c.rjust(w) if _is_num(c) else c.ljust(w)) for c, w in zip(row, widths)
-            ).rstrip()
-        )
+    lines += [line.rstrip() for line in map("  ".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
-def sniff_schema(path) -> str:
-    """Identify a result file by its header line."""
-    with io.open_text(path) as fh:
-        header_row = next(csv.reader(fh), None)
-    if header_row is None:
-        raise ValidationError(f"{path}: empty file, expected a header row")
-    header = ",".join(h.strip() for h in header_row)
-    if header not in _SCHEMAS:
-        raise ValidationError(f"{path}: unknown result file schema ({header!r})")
-    return _SCHEMAS[header]
-
-
-def _has_rows(path) -> bool:
+def sniff_schema(path) -> tuple[str, bool]:
+    """Identify a result file by its header line, in one pass over the file:
+    its kind, and whether a later row has a non-blank cell."""
     with io.open_text(path) as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # header
-        return any(any(cell.strip() for cell in row) for row in reader)
+        header_row = next(reader, None)
+        if header_row is None:
+            raise ValidationError(f"{path}: empty file, expected a header row")
+        header = ",".join(h.strip() for h in header_row)
+        if header not in _SCHEMAS:
+            raise ValidationError(f"{path}: unknown result file schema ({header!r})")
+        return _SCHEMAS[header], any(any(cell.strip() for cell in row) for row in reader)
 
 
 def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], list[float]]]]:
@@ -84,43 +81,27 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
     Returns (table text or None when the file has no rows, list of
     (series name, xs, ys) ready to be written as plot series).
     """
-    schema = sniff_schema(path)
-    if not _has_rows(path):
+    schema, has_rows = sniff_schema(path)
+    if not has_rows:
         return None, []
 
-    if schema == "impact":
-        rows = io.read_impact_csv(path)
-        headers = list(io.IMPACT_COLUMNS)
-        table = render_table(headers, [[r[h] for h in headers] for r in rows])
-        return table, []
-
-    if schema == "expenditure":
-        rows = io.read_expenditure_csv(path)
-        table = render_table(list(io.EXPENDITURE_COLUMNS), [list(row) for row in rows])
-        series = []
-        for model, scenario in dict.fromkeys((m, s) for m, s, _, _ in rows):
-            pts = [(d, v) for m, s, d, v in rows if (m, s) == (model, scenario)]
-            series.append(
-                (f"{model}_{scenario}", [float(d) for d, _ in pts], [v for _, v in pts])
-            )
-        return table, series
-
-    if schema == "population":
+    series = []
+    if schema == "population":  # a row per scenario and cohort, a total series per scenario
         paths = io.read_population_csv(path)
         grid = paths.grid
-        headers = ["scenario", "cohort"] + [str(d) for d in grid.dates]
         rows = []
         for name, p in paths.items():
-            for i in range(grid.n_cohorts):
-                rows.append([name, grid.cohort_label(i)] + list(p.counts[i, :]))
-        table = render_table(headers, rows)
-        series = [
-            (f"{name}_total", [float(d) for d in grid.dates], list(paths[name].totals()))
-            for name in paths
-        ]
-        return table, series
+            rows += ([name, grid.cohort_label(i), *p.counts[i, :]] for i in range(grid.n_cohorts))
+            series.append((f"{name}_total", [float(d) for d in grid.dates], list(p.totals())))
+        return render_table(["scenario", "cohort", *map(str, grid.dates)], rows), series
 
-    # plain series file: table it back, no derived series
-    pts = io.read_series_csv(path)
-    table = render_table(list(io.SERIES_COLUMNS), [list(xy) for xy in pts])
-    return table, []
+    columns, read = _ROW_FILES[schema]
+    rows = read(path)
+    if schema == "expenditure":  # a series per (model, scenario)
+        points: dict[tuple[str, str], tuple[list, list]] = {}
+        for model, scenario, date, value in rows:
+            xs, ys = points.setdefault((model, scenario), ([], []))
+            xs.append(float(date))
+            ys.append(value)
+        series = [(f"{m}_{s}", xs, ys) for (m, s), (xs, ys) in points.items()]
+    return render_table(list(columns), rows), series

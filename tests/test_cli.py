@@ -9,12 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hcimpact import cli, io, parse_selector, sensitivity_grid
+from hcimpact import PopulationPath, cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
-from hcimpact.report import render_table
+from hcimpact.report import render_result_file, render_table, sniff_schema
 
 from conftest import DATA_DIR, REPO_ROOT, overflowing_bundle
 
@@ -298,6 +299,65 @@ class TestReport:
         assert run_cli("report", "--manifest", m, "--out", tmp_path / "rep") == 2
         assert "unknown result file schema" in capsys.readouterr().err
 
+    def test_empty_file_rejected(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        m = self._report_manifest(tmp_path, empty)
+        out = tmp_path / "rep"
+        assert run_cli("report", "--manifest", m, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty file, expected a header row\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, kind", [
+        ("impact/impact.csv", "impact"),
+        ("impact/expenditure.csv", "expenditure"),
+        ("project/population_PopSV-1.7.csv", "population"),
+        ("report/expenditure_series_DC_PopMV.csv", "series"),
+    ])
+    def test_a_result_file_is_decoded_once_before_its_reader(self, monkeypatch, name, kind):
+        # sniff_schema reads the header and whether a row follows in one pass.
+        src = _GOLDEN_CLI / name
+        opened = []
+        open_text = io.open_text
+
+        def counting_open_text(path):
+            opened.append(path)
+            return open_text(path)
+
+        monkeypatch.setattr(io, "open_text", counting_open_text)
+        assert sniff_schema(src) == (kind, True)
+        opened.clear()
+        table, _ = render_result_file(src)
+        assert table is not None
+        assert opened == [src]
+
+    def test_a_one_scenario_population_file_builds_one_path(self, monkeypatch):
+        built = []
+        post_init = PopulationPath.__post_init__
+
+        def counting_post_init(path):
+            built.append(path.scenario)
+            post_init(path)
+
+        monkeypatch.setattr(PopulationPath, "__post_init__", counting_post_init)
+        _, series = render_result_file(_GOLDEN_CLI / "project/population_PopSV-1.7.csv")
+        assert built == ["PopSV-1.7"]
+        assert [name for name, _, _ in series] == ["PopSV-1.7_total"]
+
+
+def test_render_table_aligns_numbers_and_numeric_texts_right_and_bools_left():
+    rows = [["upper", 7, True, 2.5],
+            ["1.05", 12345, False, float("nan")],
+            ["lower", -3, np.bool_(True), np.float64(1e6)]]
+    assert render_table(["selector", "n", "flag", "eur_m"], rows) == (
+        "selector  n      flag   eur_m\n"
+        "--------  -----  -----  ---------\n"
+        "upper         7  True         2.5\n"
+        "    1.05  12345  False        nan\n"
+        "lower        -3    1.0  1000000.0\n"
+    )
+    assert render_table(["a", "b"], []) == "a  b\n-  -\n"
+
 
 class TestProjectedScenariosFeedBack:
     def test_projected_file_joins_the_population_bundle(self, tmp_path):
@@ -357,6 +417,19 @@ class TestNonUtf8Input:
         n_lines = manifest.read_bytes().count(b"\n")
         assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / "o") == 2
         assert f"manifest.txt:{n_lines}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, problem", [
+        ([b"# one", b"bogus.key = 1", b"# three", b"# caf\xff"], "2: unknown key 'bogus.key'"),
+        ([b"# one", b"# caf\xff", b"# three", b"bogus.key = 1"], "2: not valid UTF-8"),
+        ([b"# caf\xff", b"bogus.key = 1"], "1: not valid UTF-8"),
+    ], ids=["bad_key_before_bad_byte", "bad_byte_before_bad_key", "bad_byte_on_line_1"])
+    def test_manifest_reports_its_first_bad_line(self, tmp_path, capsys, lines, problem):
+        manifest = tmp_path / "mb.txt"
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "o"
+        assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {manifest}:{problem}\n"
+        assert not out.exists()
 
     def test_report_source_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -815,6 +888,7 @@ def test_a_repeated_project_scenario_exits_2_before_any_data_file_is_read(tmp_pa
     ("sensitivity", "sensitivity.populations", "PopMV,Nope", "population scenario", "populations"),
     ("sensitivity", "scenario.cost_profile", "Nope", "cost profile", "cost_profiles"),
     ("sensitivity", "scenario.ds_scenario", "Nope", "D/S scenario", "ds_profiles"),
+    ("project", "project.initial", "Nope", "initial population scenario", "populations"),
 ])
 def test_an_unknown_id_names_manifest_and_key(
     tmp_path, data_dir, capsys, command, key, value, what, tables
@@ -874,3 +948,46 @@ def test_every_study_cell_mutation_exits_0_with_finite_numbers_or_2_naming_the_f
         failures.append((row + 2, columns[column], text, code, std.err))
     assert run + 1 == len(rows) * len(columns) * len(texts) == 252
     assert failures == []
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("oops", "expected 'key = value', got 'oops'"),
+    (" = 1", "empty key"),
+    ("scenario.model = DC", "duplicate key 'scenario.model'"),
+], ids=["no_equals_sign", "empty_key", "duplicate_key"])
+def test_a_malformed_manifest_line_exits_2_with_its_line(tmp_path, data_dir, capsys, line, problem):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    text = manifest.read_text() + line + "\n"
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {manifest}:{text.count(chr(10))}: {problem}\n"
+    assert not out.exists()
+
+
+def test_unequal_project_scenarios_and_birth_rates_exit_2(tmp_path, data_dir, capsys):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, "project.birth_rates", "0.017")
+    out = tmp_path / "out"
+    assert run_cli("project", "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: project.scenarios and project.birth_rates must list the same "
+        "number of items\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["gdp.csv", "population.csv"])
+def test_an_unknown_input_column_exits_2_naming_the_file(tmp_path, data_dir, capsys, name):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    table = bundle / name
+    header, rest = table.read_text().split("\n", 1)
+    table.write_text(f"{header},foo\n{rest}")
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {table}: unknown column(s): foo\n"
+    assert not out.exists()
