@@ -21,7 +21,7 @@ import warnings
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,22 +70,23 @@ __all__ = [
     "EXPENDITURE_COLUMNS",
     "POPULATION_COLUMNS",
     "SERIES_COLUMNS",
+    "RESULTS",
 ]
 
-# The header of each result file, in column order.
-IMPACT_COLUMNS = (
-    "model",
-    "pop_scenario",
-    "rr_selector",
-    "rf",
-    "crimi_eur_m",
-    "criui_eur_m",
-    "cri_eur_m",
-    "cri_gdp_pct",
-)
-EXPENDITURE_COLUMNS = ("model", "scenario", "date", "eur_millions")
-POPULATION_COLUMNS = ("scenario", "date", "cohort_lo", "cohort_hi", "count_thousands")
-SERIES_COLUMNS = ("x", "y")
+#: Each kind of result file: its columns in order, each with its cell type. The
+#: writers, :func:`read_result_rows` and ``report`` all take a file's format from here.
+RESULTS: dict[str, dict[str, type]] = {
+    "impact": {"model": str, "pop_scenario": str, "rr_selector": str, "rf": float,
+               "crimi_eur_m": float, "criui_eur_m": float, "cri_eur_m": float,
+               "cri_gdp_pct": float},
+    "expenditure": {"model": str, "scenario": str, "date": int, "eur_millions": float},
+    "population": {"scenario": str, "date": int, "cohort_lo": int, "cohort_hi": int,
+                   "count_thousands": float},
+    "series": {"x": float, "y": float},
+}
+# The header of each result file.
+IMPACT_COLUMNS, EXPENDITURE_COLUMNS, POPULATION_COLUMNS, SERIES_COLUMNS = (
+    tuple(RESULTS[kind]) for kind in ("impact", "expenditure", "population", "series"))
 
 
 def fmt_value(x: float) -> str:
@@ -95,6 +96,14 @@ def fmt_value(x: float) -> str:
 
 def selector_text(sel: str | float) -> str:
     return sel if isinstance(sel, str) else fmt_value(sel)
+
+
+def _csv_text(columns: dict[str, type], rows: Iterable[tuple]) -> str:
+    """The header of ``columns``, then a line per row: a float cell as
+    :func:`fmt_value` (``"%.6g" % x`` is ``format(float(x), ".6g")``), any
+    other as ``str``."""
+    line = ",".join("%.6g" if kind is float else "%s" for kind in columns.values()) + "\n"
+    return ",".join(columns) + "\n" + "".join(line % row for row in rows)
 
 
 # The largest finite float: ``lo <= v <= _MAX`` is false for nan and both infinities.
@@ -435,20 +444,15 @@ def load_exogenous_path(name: str, source) -> PopulationPath:
     return paths[name]
 
 
-def _cohort_lines(grid: CohortGrid, values: np.ndarray, prefix: str = "") -> list[str]:
-    """Rows ``{prefix}date,cohort_lo,cohort_hi,value`` of a dated table, cohort by cohort."""
-    return [
-        f"{prefix}{date},{lo},{hi},{fmt_value(values[i, j])}"
-        for i, (lo, hi) in enumerate(map(grid.cohort_bounds, range(grid.n_cohorts)))
-        for j, date in enumerate(grid.dates)
-    ]
+def _dated_rows(grid: CohortGrid, values: np.ndarray) -> Iterator[tuple]:
+    """Rows ``(date, cohort_lo, cohort_hi, value)`` of a dated table, cohort by cohort."""
+    for (lo, hi), cells in zip(map(grid.cohort_bounds, range(grid.n_cohorts)), values.tolist()):
+        yield from ((date, lo, hi, v) for date, v in zip(grid.dates, cells))
 
 
 def population_csv_text(paths: Iterable[PopulationPath]) -> str:
-    lines = [",".join(POPULATION_COLUMNS)]
-    for p in paths:
-        lines += _cohort_lines(p.grid, p.counts, f"{p.scenario},")
-    return "\n".join(lines) + "\n"
+    return _csv_text(RESULTS["population"],
+                     ((p.scenario, *row) for p in paths for row in _dated_rows(p.grid, p.counts)))
 
 
 def write_population_csv(paths: Iterable[PopulationPath], out) -> None:
@@ -468,8 +472,8 @@ def read_mortality_csv(path) -> MortalityTable:
 
 
 def mortality_csv_text(table: MortalityTable) -> str:
-    lines = ["date,cohort_lo,cohort_hi,pd_5yr", *_cohort_lines(table.grid, table.death_prob)]
-    return "\n".join(lines) + "\n"
+    return _csv_text({"date": int, "cohort_lo": int, "cohort_hi": int, "pd_5yr": float},
+                     _dated_rows(table.grid, table.death_prob))
 
 
 def write_mortality_csv(table: MortalityTable, out) -> None:
@@ -643,9 +647,9 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
     line is five pieces, ``model,pop,rr,`` and ``crimi,`` per (model,
     population, RR), ``rf,`` per RF, ``criui,`` per (model, population, RF)
     and ``cri,gdp`` per distinct CRI, broadcast into one array joined once."""
-    header = ",".join(IMPACT_COLUMNS) + "\n"
     if not isinstance(rows, GridResult):
-        return header + "".join(",".join(cells) + "\n" for cells in zip(*impact_columns(rows)))
+        return _csv_text(RESULTS["impact"], zip(*impact_columns(rows, float)))
+    header = ",".join(IMPACT_COLUMNS) + "\n"
     (rf, rf_at), (crimi, crimi_at), (criui, criui_at), (cri, cri_at) = _grid_numbers(rows)
 
     def texts(values, end=","):
@@ -666,9 +670,11 @@ def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:
     Path(out).write_text(impact_csv_text(rows))
 
 
-def _read_result_rows(path, dtypes) -> list[tuple]:
-    """Each row of a result file, its columns in the order of ``dtypes``, as a
-    tuple of texts, ``int`` and ``float``; a file of no rows gives []."""
+def read_result_rows(path, kind: str) -> list[tuple]:
+    """Each row of a result file of ``kind`` (a key of :data:`RESULTS`), its
+    cells in column order as texts, ``int`` and ``float``; a file of no rows
+    gives []."""
+    dtypes = {c: {str: object, int: np.int64, float: float}[t] for c, t in RESULTS[kind].items()}
     _, columns, line, bad, stop = _read_table(path, dtypes)
     rows = list(zip(*(columns[c].tolist() for c in dtypes)))
     _check(path, len(rows), line, stop,
@@ -678,18 +684,14 @@ def _read_result_rows(path, dtypes) -> list[tuple]:
 
 def read_impact_csv(path) -> list[dict[str, str | float]]:
     """Parse an impact/sensitivity result table into typed row dicts."""
-    dtypes = dict.fromkeys(IMPACT_COLUMNS, float) | dict.fromkeys(IMPACT_COLUMNS[:3], object)
-    return [dict(zip(IMPACT_COLUMNS, row)) for row in _read_result_rows(path, dtypes)]
+    return [dict(zip(IMPACT_COLUMNS, row)) for row in read_result_rows(path, "impact")]
 
 
 # -------------------------------------------------------- expenditure series
 
 def expenditure_csv_text(paths: Iterable[ExpenditurePath]) -> str:
-    lines = [",".join(EXPENDITURE_COLUMNS)]
-    for p in paths:
-        for date, v in zip(p.dates, p.values):
-            lines.append(f"{p.model},{p.scenario},{date},{fmt_value(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(RESULTS["expenditure"], ((p.model, p.scenario, date, v) for p in paths
+                                              for date, v in zip(p.dates, p.values)))
 
 
 def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
@@ -697,8 +699,7 @@ def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
 
 
 def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
-    dtypes = dict(zip(EXPENDITURE_COLUMNS, (object, object, np.int64, float)))
-    return _read_result_rows(path, dtypes)
+    return read_result_rows(path, "expenditure")
 
 
 # ------------------------------------------------------------- plot series
@@ -706,10 +707,7 @@ def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
 def series_csv_text(xs: Sequence[float], ys: Sequence[float]) -> str:
     if len(xs) != len(ys):
         raise ValidationError("series x and y lengths differ")
-    lines = [",".join(SERIES_COLUMNS)]
-    for x, y in zip(xs, ys):
-        lines.append(f"{fmt_value(x)},{fmt_value(y)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(RESULTS["series"], zip(xs, ys))
 
 
 def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
@@ -717,4 +715,4 @@ def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
-    return _read_result_rows(path, dict.fromkeys(SERIES_COLUMNS, float))
+    return read_result_rows(path, "series")

@@ -232,8 +232,11 @@ def parse_manifest(path) -> RunManifest:
     source = Path(path)
     values: dict[str, str] = {}
     # Inside the ``with``: a bad line before a byte that is not UTF-8 is reported first.
+    # Lines end only at ``\n``, ``\r`` and ``\r\n``, as for data files: ``str.splitlines``
+    # would also break a comment at a form feed or U+2028.
     with io.open_text(source) as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\r\n")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

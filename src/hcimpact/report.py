@@ -12,16 +12,9 @@ import csv
 from . import io
 from .errors import ValidationError
 
-__all__ = ["render_table", "fmt_cell", "sniff_schema", "render_result_file"]
+__all__ = ["render_table", "sniff_schema", "render_result_file"]
 
-# Each file of rows: its columns and its reader, the rows in column order.
-_ROW_FILES = {
-    "impact": (io.IMPACT_COLUMNS, lambda path: [[*r.values()] for r in io.read_impact_csv(path)]),
-    "expenditure": (io.EXPENDITURE_COLUMNS, io.read_expenditure_csv),
-    "series": (io.SERIES_COLUMNS, io.read_series_csv),
-}
-_SCHEMAS = {",".join(columns): kind for kind, (columns, _) in _ROW_FILES.items()}
-_SCHEMAS[",".join(io.POPULATION_COLUMNS)] = "population"
+_SCHEMAS = {",".join(columns): kind for kind, columns in io.RESULTS.items()}  # header: kind
 
 
 def _cell(value) -> tuple[str, bool]:
@@ -37,11 +30,6 @@ def _cell(value) -> tuple[str, bool]:
     if isinstance(value, int):
         return str(value), not isinstance(value, bool)
     return f"{float(value):.1f}", True
-
-
-def fmt_cell(value) -> str:
-    """Formatted-table cell text: numbers at 1 decimal, text and integers verbatim."""
-    return _cell(value)[0]
 
 
 def render_table(headers: list[str], rows: list[list]) -> str:
@@ -95,8 +83,7 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
             series.append((f"{name}_total", [float(d) for d in grid.dates], list(p.totals())))
         return render_table(["scenario", "cohort", *map(str, grid.dates)], rows), series
 
-    columns, read = _ROW_FILES[schema]
-    rows = read(path)
+    rows = io.read_result_rows(path, schema)
     if schema == "expenditure":  # a series per (model, scenario)
         points: dict[tuple[str, str], tuple[list, list]] = {}
         for model, scenario, date, value in rows:
@@ -104,4 +91,4 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
             xs.append(float(date))
             ys.append(value)
         series = [(f"{m}_{s}", xs, ys) for (m, s), (xs, ys) in points.items()]
-    return render_table(list(columns), rows), series
+    return render_table(list(io.RESULTS[schema]), rows), series

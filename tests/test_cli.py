@@ -752,6 +752,28 @@ def test_huge_birth_rate_exits_2_under_warnings_as_errors(tmp_path, data_dir, ce
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_a_degenerate_cost_split_exits_3_under_warnings_as_errors(tmp_path, data_dir, command):
+    # Certain death and a D/S ratio near 0 leave the survivor/decedent split no denominator.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    for name, column, value in (("mortality.csv", "pd_5yr", "1"), ("ds_ratio.csv", "ratio", "1e-300")):
+        table = bundle / name
+        header, *rows = table.read_text().splitlines()
+        lo, at = map(header.split(",").index, ("cohort_lo", column))
+        rows = [row.split(",") for row in rows]
+        for row in rows:
+            row[at] = value if row[lo] == "0" else row[at]
+        table.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    out = tmp_path / "out"
+    proc = _fresh_interpreter("-W", "error", "-m", "hcimpact.cli", command,
+                              "--manifest", str(bundle / "manifest.txt"), "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "numerical error: degenerate denominator in survivor/decedent cost split\n")
+    assert not out.exists()
+
+
 def _set_manifest_value(manifest: Path, key: str, value: str) -> None:
     text, n = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", manifest.read_text())
     assert n == 1, key
@@ -767,8 +789,12 @@ def _set_manifest_value(manifest: Path, key: str, value: str) -> None:
     ("project.birth_rates", "-1,0.013", "must be finite and >= 0, got -1.0"),
     ("scenario.rr_selection", "-2", "must be finite and >= 0, got -2.0"),
     ("scenario.model", "XX", "unknown model 'XX'; valid: PD, CH, DC"),
+    ("scenario.shock_date", "soon", "'soon' is not an integer"),
+    ("params.utilization", "lots", "'lots' is not a number"),
+    ("project.horizon", "2030.5", "'2030.5' is not an integer"),
 ], ids=["rr_nan", "unknown_model_in_list", "rf_negative", "rate_not_a_number", "rate_negative",
-        "rr_selection_negative", "unknown_model"])
+        "rr_selection_negative", "unknown_model", "shock_date_not_an_integer",
+        "utilization_not_a_number", "horizon_not_an_integer"])
 def test_bad_value_names_manifest_and_key_before_any_data_file_is_read(
     tmp_path, data_dir, command, key, value, problem
 ):
@@ -954,13 +980,17 @@ def test_every_study_cell_mutation_exits_0_with_finite_numbers_or_2_naming_the_f
     ("oops", "expected 'key = value', got 'oops'"),
     (" = 1", "empty key"),
     ("scenario.model = DC", "duplicate key 'scenario.model'"),
-], ids=["no_equals_sign", "empty_key", "duplicate_key"])
+    # A line ends only at \n, \r or \r\n: a form feed or U+2028 in a comment does not end it.
+    ("# notes\x0cpage two\nbogus.key = 1", "unknown key 'bogus.key'"),
+    ("# notes\u2028page two\nbogus.key = 1", "unknown key 'bogus.key'"),
+], ids=["no_equals_sign", "empty_key", "duplicate_key", "form_feed_in_a_comment",
+        "line_separator_in_a_comment"])
 def test_a_malformed_manifest_line_exits_2_with_its_line(tmp_path, data_dir, capsys, line, problem):
     bundle = tmp_path / "data"
     shutil.copytree(data_dir, bundle)
     manifest = bundle / "manifest.txt"
     text = manifest.read_text() + line + "\n"
-    manifest.write_text(text)
+    manifest.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli("impact", "--manifest", manifest, "--out", out) == 2
     assert capsys.readouterr().err == f"error: {manifest}:{text.count(chr(10))}: {problem}\n"

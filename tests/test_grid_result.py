@@ -6,6 +6,9 @@ import importlib.util
 import itertools
 import json
 import math
+import re
+import shutil
+import sys
 from functools import partial
 
 import numpy as np
@@ -280,15 +283,18 @@ class TestRowListRender:
             io.impact_csv_text([good, bad])
 
 
-def _bench_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "benchmarks" / "gen.py")
+def _bench_module(name):
+    """``benchmarks/{name}.py``, registered in ``sys.modules`` before it runs, as a dataclass needs."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  REPO_ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_sweep_csv_matches_the_golden_sha256():
-    gen = _bench_gen()
+    gen = _bench_module("gen")
     golden = json.loads((REPO_ROOT / "benchmarks" / "golden" / "sweep.json").read_text())
     manifest = parse_manifest(DATA_DIR / "manifest.txt")
     rr, rf = gen.sweep_axes(golden["seed"])
@@ -325,7 +331,7 @@ class TestOnePassFormat:
 @pytest.mark.parametrize("seed", [1, 7])
 def test_full_size_sweep_csv_equals_the_per_row_render(seed):
     # Seed 0 is pinned by the golden sha256; other seeds put other values on the RR and RF axes.
-    gen = _bench_gen()
+    gen = _bench_module("gen")
     manifest = parse_manifest(DATA_DIR / "manifest.txt")
     rr, rf = gen.sweep_axes(seed)
     grid = sensitivity_grid(manifest.scenario_config(), manifest.load_inputs(), rr, rf,
@@ -357,3 +363,37 @@ def test_every_cell_has_its_one_cell_bits_whatever_the_other_axis_entries():
                     differ.append((models, pops, cell, got.crimi, want.crimi))
     assert cells == 1188
     assert differ == []
+
+
+@pytest.mark.parametrize("rate", ["0", "0.1", "0.25", "0.5", "1"])
+def test_every_sweep_cell_matches_the_independent_oracle(tmp_path, rate):
+    # benchmarks/oracle.py recomputes PD, CH and DC from the documented
+    # formulas without importing hcimpact; the rate dilutes the study risks.
+    gen, oracle = _bench_module("gen"), _bench_module("oracle")
+    bundle = tmp_path / "data"
+    shutil.copytree(DATA_DIR, bundle)
+    manifest = bundle / "manifest.txt"
+    text, n = re.subn(r"(?m)^scenario\.unemployment_rate = .*$",
+                      f"scenario.unemployment_rate = {rate}", manifest.read_text())
+    assert n == 1
+    manifest.write_text(text)
+    parsed = parse_manifest(manifest)
+    config, inputs = parsed.scenario_config(), parsed.load_inputs()
+    reference = oracle.Oracle(manifest)
+    problems, cells = [], 0
+    for seed in (0, 1):
+        rr, rf = gen.sweep_axes(seed)
+        grid = sensitivity_grid(config, inputs, rr, rf, gen.SWEEP_MODELS, gen.SWEEP_POPULATIONS)
+        coords = itertools.product(gen.SWEEP_MODELS, gen.SWEEP_POPULATIONS, rr, rf)
+        for row, (model, pop, r, f) in zip(grid, coords, strict=True):
+            where = f"seed {seed}, cell ({model}, {pop}, {r}, {f})"
+            if (row.model, row.pop_scenario, row.rr_selector) != (model, pop, r):
+                problems.append(f"{where}: row at ({row.model}, {row.pop_scenario}, {row.rr_selector})")
+            ref = reference.cell(model, pop, config.cost_profile, config.ds_scenario, r, f,
+                                 config.shock_date)
+            res = row.result
+            problems += oracle.check_result(where, model, res.crimi, res.criui, res.cri_gdp_pct,
+                                            row.rf, ref)
+            cells += 1
+    assert cells == 9600
+    assert problems == []

@@ -247,6 +247,24 @@ class TestResultFiles:
         io.write_series_csv([1.0], [2.0], tmp_path / "xy.csv")
         io.read_series_csv(tmp_path / "xy.csv")
 
+    @pytest.mark.parametrize("kind", list(io.RESULTS))
+    def test_a_row_of_every_result_kind_reads_back_as_written(self, tmp_path, kind):
+        sample = {str: "PopMV", int: 2015, float: 0.125}
+        row = tuple(sample[t] for t in io.RESULTS[kind].values())
+        out = tmp_path / f"{kind}.csv"
+        out.write_text(io._csv_text(io.RESULTS[kind], [row, row]))
+        assert out.read_text().splitlines()[0] == ",".join(io.RESULTS[kind])
+        assert io.read_result_rows(out, kind) == [row, row]
+
+    @given(xs=st.lists(st.floats(), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_a_float_cell_is_written_as_fmt_value(self, xs):
+        # Python floats and ints, numpy float64, nan, both infinities and -0.0 alike.
+        xs = [*xs, 7]
+        ys = [np.float64(x) for x in reversed(xs)]
+        assert io.series_csv_text(xs, ys) == "x,y\n" + "".join(
+            f"{io.fmt_value(x)},{io.fmt_value(y)}\n" for x, y in zip(xs, ys))
+
 
 class TestEncodingAndHeader:
     def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
