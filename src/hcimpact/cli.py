@@ -95,12 +95,13 @@ def _build_project(manifest: RunManifest, fmt: str):
     return files, stdout
 
 
-def _impact_inputs(manifest: RunManifest, populations: str):
+def _impact_inputs(manifest: RunManifest, populations: str, **fixed):
     """Inputs and base scenario of an impact evaluation, with GDP at the shock
     date and a table for each id the command uses: the population ids of the
-    key ``populations``, the cost profile and the D/S scenario."""
+    key ``populations``, the cost profile and the D/S scenario. The fields in
+    ``fixed`` are as in :meth:`RunManifest.scenario_config`."""
     inputs = manifest.load_inputs()
-    config = manifest.scenario_config()
+    config = manifest.scenario_config(**fixed)
     if config.shock_date not in inputs.params.gdp:
         manifest.fail("scenario.shock_date", f"{manifest.file('data.gdp')}: GDP path does not "
                       f"cover the shock date {config.shock_date}")
@@ -118,7 +119,7 @@ def _impact_table(stem: str, rows, fmt: str) -> dict[str, str]:
     """The impact result file of ``rows``: ``{stem}.csv`` or an aligned ``{stem}.txt``."""
     if fmt == "csv":
         return {f"{stem}.csv": io.impact_csv_text(rows)}
-    cells = list(zip(*io.impact_columns(rows, float)))
+    cells = list(zip(*io.impact_columns(rows)))
     return {f"{stem}.txt": render_table(list(io.IMPACT_COLUMNS), cells)}
 
 
@@ -155,9 +156,12 @@ def _build_impact(manifest: RunManifest, fmt: str):
 
 
 def _build_sensitivity(manifest: RunManifest, fmt: str):
-    inputs, base = _impact_inputs(manifest, "sensitivity.populations")
-    grid = sensitivity_grid(base, inputs, *(manifest.value(f"sensitivity.{axis}") for axis in
-                                            ("rr_values", "rf_values", "models", "populations")))
+    axes = [manifest.value(f"sensitivity.{axis}")
+            for axis in ("rr_values", "rf_values", "models", "populations")]
+    # The grid takes its models and populations from its axes, not from scenario.*.
+    inputs, base = _impact_inputs(manifest, "sensitivity.populations",
+                                  model=axes[2][0], population=axes[3][0])
+    grid = sensitivity_grid(base, inputs, *axes)
 
     cri = grid.cri.ravel()  # argmin/argmax take the first extreme cell, as min/max did
     lo, hi = grid[int(cri.argmin())].result, grid[int(cri.argmax())].result
@@ -169,7 +173,7 @@ def _build_sensitivity(manifest: RunManifest, fmt: str):
     return _impact_table("sensitivity", grid, fmt), stdout
 
 
-def _build_report(manifest: RunManifest, fmt: str):
+def _build_report(manifest: RunManifest):
     files: dict[str, str] = {}
     sources: dict[str, str] = {}
     stdout = []
@@ -197,7 +201,7 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     try:
         for name, content in files.items():
             temp = out_dir / f".{name}.{os.getpid()}.tmp"
-            with open(temp, "x") as fh:
+            with open(temp, "x", encoding="utf-8") as fh:
                 written.append((temp, out_dir / name))
                 fh.write(content)
         for _, target in written:  # a rename cannot replace a directory
@@ -221,15 +225,18 @@ _COMMANDS = {  # name: (builder, help text)
 def _run(command: str, args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
     builder = _COMMANDS[command][0]
+    inputs = (manifest, args.format) if "format" in args else (manifest,)
 
-    files, stdout = builder(manifest, args.format)
+    files, stdout = builder(*inputs)
     if args.seedless:
         # the engine is seed-free by construction; verify by re-evaluating
-        files2, stdout2 = builder(manifest, args.format)
+        files2, stdout2 = builder(*inputs)
         if files != files2 or stdout != stdout2:
             raise NumericalError("outputs differ between two identical evaluations")
 
     _write_outputs(Path(args.out), files)
+    if hasattr(sys.stdout, "reconfigure"):  # escape what the locale's codec cannot encode
+        sys.stdout.reconfigure(errors="backslashreplace")
     for line in stdout:
         print(line)
     return EXIT_OK
@@ -246,10 +253,11 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True, help="run manifest file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument(
-            "--format", choices=("csv", "table"), default="csv",
-            help="delimited text or formatted tables (default: csv)",
-        )
+        if name != "report":  # report always writes aligned tables and csv series
+            p.add_argument(
+                "--format", choices=("csv", "table"), default="csv",
+                help="delimited text or formatted tables (default: csv)",
+            )
         p.add_argument(
             "--seedless", action="store_true",
             help="assert determinism by evaluating twice and comparing",

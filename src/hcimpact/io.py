@@ -456,7 +456,7 @@ def population_csv_text(paths: Iterable[PopulationPath]) -> str:
 
 
 def write_population_csv(paths: Iterable[PopulationPath], out) -> None:
-    Path(out).write_text(population_csv_text(paths))
+    Path(out).write_text(population_csv_text(paths), encoding="utf-8")
 
 
 # ----------------------------------------------------------------- mortality
@@ -477,7 +477,7 @@ def mortality_csv_text(table: MortalityTable) -> str:
 
 
 def write_mortality_csv(table: MortalityTable, out) -> None:
-    Path(out).write_text(mortality_csv_text(table))
+    Path(out).write_text(mortality_csv_text(table), encoding="utf-8")
 
 
 # ------------------------------------------------------------ relative risks
@@ -594,50 +594,36 @@ def _fmt_values(values: Sequence[float], end: str = "") -> list[str]:
     return ((f"%.6g{end}\0" * len(values)) % tuple(values)).split("\0")[:-1]
 
 
-def _by_bits(values, shape=(-1,)):
+def _by_bits(values):
     """The distinct values by float64 bit pattern, so ``-0.0`` and ``0.0``
-    stay apart, and the index into them of each value, shaped ``shape``."""
+    stay apart, and the index into them of each value, shaped as ``values``."""
     bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
     unique, inverse = np.unique(bits, return_inverse=True)
-    return unique.view(float), inverse.reshape(shape)
+    return unique.view(float), inverse.reshape(np.shape(values))
 
 
-def _grid_numbers(grid: GridResult) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_by_bits` of the RFs, ``crimi``, ``criui`` and ``cri`` of ``grid``,
-    each index shaped to broadcast along the (model, population, RR, RF) axes."""
-    m, p, r, f = grid.shape
-    shapes = ((f,), (m, p, r, 1), (m, p, 1, f), grid.shape)
-    return list(map(_by_bits, (grid.rfs, grid.crimi, grid.criui, grid.cri), shapes))
+def _impact_cells(row: GridRow) -> tuple:
+    """The :data:`IMPACT_COLUMNS` cells of one row, its GDP share with its own GDP."""
+    result = row.result
+    return (row.model, row.pop_scenario, selector_text(row.rr_selector), float(row.rf),
+            float(result.crimi), float(result.criui), float(result.cri), float(result.cri_gdp_pct))
 
 
-def impact_columns(rows: GridResult | Iterable[GridRow], number=fmt_value) -> list[list]:
-    """The :data:`IMPACT_COLUMNS` of every cell, column by column, in row order.
-
-    ``number`` maps each numeric column (the RFs, ``crimi``, ``criui``,
-    ``cri`` and its GDP share) once per distinct float64 bit pattern, so
-    ``-0.0`` and ``0.0`` stay apart; RR selectors are :func:`selector_text`.
-    A :class:`GridResult` is read along its axes (:func:`_grid_numbers`),
-    other rows column by column, each GDP share with its row's own GDP.
+def impact_columns(rows: GridResult | Iterable[GridRow]) -> list[list]:
+    """The :data:`IMPACT_COLUMNS` of every cell, column by column, in row order:
+    RR selectors as :func:`selector_text`, the other numbers as floats. A
+    :class:`GridResult` is read off its arrays, broadcast along its (model,
+    population, RR, RF) axes; other rows one by one (:func:`_impact_cells`).
     """
-    def spread(values, at):  # ``number`` of each distinct value, at ``at``
-        return np.array(list(map(number, values.tolist())), dtype=object)[at]
-
     if not isinstance(rows, GridResult):
-        rows = list(rows)
-        results = [r.result for r in rows]
-        return [[r.model for r in rows], [r.pop_scenario for r in rows],
-                [selector_text(r.rr_selector) for r in rows],
-                *(spread(*_by_bits(values)).tolist() for values in (
-                    [r.rf for r in rows], [res.crimi for res in results],
-                    [res.criui for res in results], [res.cri for res in results],
-                    [res.cri_gdp_pct for res in results]))]
-    numbers = _grid_numbers(rows)
-    cri, cri_at = numbers[-1]  # one GDP: equal CRI bits give equal share bits
+        cells = list(map(_impact_cells, rows))
+        return [list(column) for column in zip(*cells)] or [[] for _ in IMPACT_COLUMNS]
+    cri = rows.cri
     columns = [np.array(rows.models, dtype=object)[:, None, None, None],
                np.array(rows.pop_scenarios, dtype=object)[:, None, None],
                np.array([selector_text(v) for v in rows.rr_values], dtype=object)[:, None],
-               *(spread(*column) for column in numbers),
-               spread(gdp_share_pct(cri, rows.gdp), cri_at)]
+               np.array(rows.rfs, dtype=float), rows.crimi[..., None], rows.criui[:, :, None],
+               cri, gdp_share_pct(cri, rows.gdp)]
     return [np.broadcast_to(column, rows.shape).ravel().tolist() for column in columns]
 
 
@@ -646,11 +632,13 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
     axes: each column's distinct numbers are formatted in one call, and each
     line is five pieces, ``model,pop,rr,`` and ``crimi,`` per (model,
     population, RR), ``rf,`` per RF, ``criui,`` per (model, population, RF)
-    and ``cri,gdp`` per distinct CRI, broadcast into one array joined once."""
+    and ``cri,gdp`` per distinct CRI, broadcast into one array joined once.
+    Other rows are written one by one (:func:`_impact_cells`)."""
     if not isinstance(rows, GridResult):
-        return _csv_text(RESULTS["impact"], zip(*impact_columns(rows, float)))
+        return _csv_text(RESULTS["impact"], map(_impact_cells, rows))
     header = ",".join(IMPACT_COLUMNS) + "\n"
-    (rf, rf_at), (crimi, crimi_at), (criui, criui_at), (cri, cri_at) = _grid_numbers(rows)
+    (rf, rf_at), (crimi, crimi_at), (criui, criui_at), (cri, cri_at) = map(
+        _by_bits, (rows.rfs, rows.crimi[..., None], rows.criui[:, :, None], rows.cri))
 
     def texts(values, end=","):
         return np.array(_fmt_values(values.tolist(), end), dtype=object)
@@ -667,7 +655,7 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
 
 
 def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:
-    Path(out).write_text(impact_csv_text(rows))
+    Path(out).write_text(impact_csv_text(rows), encoding="utf-8")
 
 
 def read_result_rows(path, kind: str) -> list[tuple]:
@@ -695,7 +683,7 @@ def expenditure_csv_text(paths: Iterable[ExpenditurePath]) -> str:
 
 
 def write_expenditure_csv(paths: Iterable[ExpenditurePath], out) -> None:
-    Path(out).write_text(expenditure_csv_text(paths))
+    Path(out).write_text(expenditure_csv_text(paths), encoding="utf-8")
 
 
 def read_expenditure_csv(path) -> list[tuple[str, str, int, float]]:
@@ -711,7 +699,7 @@ def series_csv_text(xs: Sequence[float], ys: Sequence[float]) -> str:
 
 
 def write_series_csv(xs: Sequence[float], ys: Sequence[float], out) -> None:
-    Path(out).write_text(series_csv_text(xs, ys))
+    Path(out).write_text(series_csv_text(xs, ys), encoding="utf-8")
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:

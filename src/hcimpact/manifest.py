@@ -161,9 +161,11 @@ class RunManifest:
         """The files listed under ``key``; relative ones resolve against the manifest."""
         return [self.source.parent / item for item in self.value(key)]
 
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(**{f.name: self.value(f"scenario.{f.name}")
-                                 for f in fields(ScenarioConfig)})
+    def scenario_config(self, **fixed) -> ScenarioConfig:
+        """The config of the ``scenario.*`` keys; the fields in ``fixed`` take
+        those values instead, and their keys are not read."""
+        return ScenarioConfig(**fixed, **{f.name: self.value(f"scenario.{f.name}")
+                                          for f in fields(ScenarioConfig) if f.name not in fixed})
 
     def load_populations(self) -> tuple[Tables[PopulationPath], MortalityTable]:
         """The population scenarios of every file, as one read-only mapping

@@ -1021,3 +1021,61 @@ def test_an_unknown_input_column_exits_2_naming_the_file(tmp_path, data_dir, cap
     assert run_cli("impact", "--manifest", bundle / "manifest.txt", "--out", out) == 2
     assert capsys.readouterr().err == f"error: {table}: unknown column(s): foo\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_outputs_are_utf8_and_stdout_escapes_under_the_c_locale(tmp_path, data_dir, command):
+    # Under the C locale without UTF-8 mode the locale's codec is ASCII.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    for name in ("population.csv", "manifest.txt"):
+        path = bundle / name
+        path.write_text(path.read_text(encoding="utf-8").replace("PopMV", "PopMÉ"),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hcimpact.cli", command,
+                           "--manifest", str(bundle / "manifest.txt"), "--out", str(out)],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(out.iterdir())
+    assert len(files) == {"impact": 2, "sensitivity": 1}[command]
+    for path in files:
+        assert "PopMÉ" in path.read_bytes().decode("utf-8"), path.name
+    if command == "impact":
+        assert b"scenario.population = PopM\\xc9\n" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_report_takes_no_format(tmp_path, capsys, fmt):
+    manifest = tmp_path / "report_manifest.txt"
+    manifest.write_text(f"report.files = {_GOLDEN_CLI / 'impact' / 'impact.csv'}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", "--manifest", manifest, "--out", out, "--format", fmt)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("removed", [("scenario.population",), ("scenario.model",),
+                                     ("scenario.population", "scenario.model")])
+def test_sensitivity_reads_neither_scenario_population_nor_scenario_model(
+    tmp_path, data_dir, capsys, removed
+):
+    # The grid takes its models and populations from its axes; impact still needs both keys.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith(removed)))
+    out = tmp_path / "out"
+    assert run_cli("sensitivity", "--manifest", manifest, "--out", out) == 0
+    golden = _GOLDEN_CLI / "sensitivity" / "sensitivity.csv"
+    assert (out / "sensitivity.csv").read_bytes() == golden.read_bytes()
+    capsys.readouterr()
+    assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / "impact") == 2
+    assert capsys.readouterr().err == f"error: {manifest}: manifest is missing key {removed[0]!r}\n"
+    assert not (tmp_path / "impact").exists()

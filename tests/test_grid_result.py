@@ -229,19 +229,21 @@ class TestDistinctRender:
         want = [[r.model, r.pop_scenario, io.selector_text(r.rr_selector), float(r.rf),
                  float(r.result.crimi), float(r.result.criui), float(r.result.cri),
                  float(r.result.cri_gdp_pct)] for r in grid]
-        got = [list(cells) for cells in zip(*io.impact_columns(grid, float))]
+        got = [list(cells) for cells in zip(*io.impact_columns(grid))]
         assert list(map(repr, got)) == list(map(repr, want))
 
     @given(grid=_pooled_grids())
     @settings(max_examples=150, deadline=None)
     def test_number_runs_once_per_distinct_value_of_each_column(self, grid):
-        calls = []
+        calls, fmt_values = [], io._fmt_values
 
-        def spy(v):
-            calls.append(_bits(v))
-            return io.fmt_value(v)
+        def spy(values, end=""):
+            calls.extend(map(_bits, values))
+            return fmt_values(values, end)
 
-        io.impact_columns(grid, spy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_fmt_values", spy)
+            io.impact_csv_text(grid)
         # The GDP share is formatted once per distinct CRI, of which it is a function.
         columns = [[r.rf, r.result.crimi, r.result.criui, r.result.cri, r.result.cri]
                    for r in grid]
@@ -267,7 +269,7 @@ class TestRowListRender:
         want = [[r.model, r.pop_scenario, io.selector_text(r.rr_selector), float(r.rf),
                  float(r.result.crimi), float(r.result.criui), float(r.result.cri),
                  float(r.result.cri_gdp_pct)] for r in rows]
-        got = [list(cells) for cells in zip(*io.impact_columns(rows, float))]
+        got = [list(cells) for cells in zip(*io.impact_columns(rows))]
         assert list(map(repr, got)) == list(map(repr, want))
 
     def test_an_empty_list_is_the_header_only(self):
@@ -396,4 +398,37 @@ def test_every_sweep_cell_matches_the_independent_oracle(tmp_path, rate):
                                             row.rf, ref)
             cells += 1
     assert cells == 9600
+    assert problems == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_every_cell_on_a_generated_input_set_matches_the_independent_oracle(tmp_path, seed):
+    # The three manifests of an ingest input set share its files; each names
+    # its own population, cost profile, D/S scenario and shock date.
+    gen, oracle = _bench_module("gen"), _bench_module("oracle")
+    manifests = gen.write_ingest_inputs(seed, tmp_path)
+    models, rr, rf = ("PD", "CH", "DC"), ["lower", "upper", 1.3], ["lower", "upper", 1.05]
+    runs = []
+    for manifest in manifests:
+        parsed = parse_manifest(manifest)
+        config = parsed.scenario_config()
+        pops = [config.population] + [f"Pop{k:03d}" for k in range(4)]
+        runs.append((config, pops, sensitivity_grid(config, parsed.load_inputs(), rr, rf,
+                                                    models, pops)))
+    # The oracle keeps only the populations it is given; every manifest's files are the same.
+    reference = oracle.Oracle(manifests[0], populations=[p for _, pops, _ in runs for p in pops])
+    problems, cells = [], 0
+    for config, pops, grid in runs:
+        for row, (model, pop, r, f) in zip(grid, itertools.product(models, pops, rr, rf),
+                                           strict=True):
+            where = f"seed {seed}, {config.population}: cell ({model}, {pop}, {r}, {f})"
+            if (row.model, row.pop_scenario, row.rr_selector) != (model, pop, r):
+                problems.append(f"{where}: row at ({row.model}, {row.pop_scenario}, {row.rr_selector})")
+            ref = reference.cell(model, pop, config.cost_profile, config.ds_scenario, r, f,
+                                 config.shock_date)
+            res = row.result
+            problems += oracle.check_result(where, model, res.crimi, res.criui, res.cri_gdp_pct,
+                                            row.rf, ref)
+            cells += 1
+    assert cells == 405
     assert problems == []

@@ -1296,8 +1296,8 @@ _SMALL_FILES = {  # kind: (reader, reference, a valid file)
                     "model,scenario,date,eur_millions\nDC,BASE,2010,1.5\nDC,BASE,2015,2.5\n"),
     "series": (io.read_series_csv, _reference_series, "x,y\n0.1,1\n0.2,-2.5\n"),
 }
-_CELL_TEXTS = ("", "x", "nan", "inf", "1e400", "-0.0", "2010.0", "1_0", "99999999999999999999",
-               "1\0", "Q", "H")  # "Q" is no service and "H" repeats the first row's service
+_CELL_TEXTS = ("", "x", "nan", "inf", "1e400", "-0.0", "-1", "2010.0", "1_0",
+               "99999999999999999999", "1\0", "Q", "H")  # "Q" is no service and "H" repeats the first row's service
 
 
 def _small_files(kind, edit):
