@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .manifest import SCHEMA, RunManifest, parse_manifest
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
 
-__all__ = ["main"]
+__all__ = ["console_main", "main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,11 +46,17 @@ def _eur(value: float, gdp_pct: float) -> str:
 def _add_output(files, sources, name: str, content: str, source: str) -> None:
     """Add one output file named from ``source``, a manifest key or an input file.
 
-    A name that is not a plain file name, or that an earlier output took
-    (``sources`` maps each taken name to its source), is rejected.
+    A name that is not a plain file name, that the file-system encoding
+    cannot represent, or that an earlier output took (``sources`` maps each
+    taken name to its source), is rejected.
     """
     if Path(name).name != name or "\0" in name:
         raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        raise ValidationError(f"{source}: output name {name!r} cannot be encoded in the "
+                              f"file-system encoding {sys.getfilesystemencoding()}") from None
     if name in sources:
         both = source if sources[name] == source else f"{sources[name]} and {source}"
         raise ValidationError(f"{both}: output file {name} would be written twice")
@@ -277,5 +284,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
+def console_main() -> int:
+    """The process entry of ``hcimpact`` and ``python -m hcimpact.cli``.
+
+    Freezes what the imports built into the collector's permanent
+    generation, so that no collection, the exit-time ones included, walks
+    objects that live until the process ends; then runs :func:`main`.
+    A program that calls hcimpact in-process calls :func:`main` instead.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

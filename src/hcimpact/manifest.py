@@ -10,6 +10,8 @@ is read, and nothing is written if any input fails validation.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -153,13 +155,24 @@ class RunManifest:
         self.value(key)
         return _items(self.values[key])
 
+    def _path(self, key: str, name: str) -> Path:
+        """``name``, a file named under ``key``, resolved against the manifest;
+        a name the file-system encoding cannot represent is an input error."""
+        path = self.source.parent / name
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError:
+            self.fail(key, f"file name {name!r} cannot be encoded in the file-system "
+                      f"encoding {sys.getfilesystemencoding()}")
+        return path
+
     def file(self, key: str) -> Path:
         """The file named under ``key``, resolved against the manifest."""
-        return self.source.parent / self.value(key)
+        return self._path(key, self.value(key))
 
     def paths(self, key: str) -> list[Path]:
         """The files listed under ``key``; relative ones resolve against the manifest."""
-        return [self.source.parent / item for item in self.value(key)]
+        return [self._path(key, item) for item in self.value(key)]
 
     def scenario_config(self, **fixed) -> ScenarioConfig:
         """The config of the ``scenario.*`` keys; the fields in ``fixed`` take

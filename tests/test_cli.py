@@ -1,4 +1,5 @@
 import errno
+import gc
 import itertools
 import math
 import os
@@ -862,7 +863,7 @@ def test_impact_stdout_on_the_bundled_manifest(tmp_path, data_dir, capsys):
 
 
 def test_readme_key_table_lists_every_known_key():
-    readme = (REPO_ROOT / "README.md").read_text()
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     groups = "|".join({key.partition(".")[0] for key in KNOWN_KEYS})
     keys = re.findall(rf"(?m)^\| `((?:{groups})\.[a-z_]+)` \|", readme)
     assert len(keys) == len(set(keys))
@@ -1046,6 +1047,84 @@ def test_outputs_are_utf8_and_stdout_escapes_under_the_c_locale(tmp_path, data_d
         assert "PopMÉ" in path.read_bytes().decode("utf-8"), path.name
     if command == "impact":
         assert b"scenario.population = PopM\\xc9\n" in proc.stdout
+
+
+def _subprocess_env(**overrides: str) -> dict[str, str]:
+    """The environment of a child Python that imports hcimpact from ``src/``."""
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("command, key, value, source", [
+    ("project", "project.scenarios", "PopSV-\u00c9,PopSV-1.3", None),
+    ("impact", "data.gdp", "gdp-\u00e9.csv", "gdp.csv"),
+    ("report", "report.files", "r\u00e9sultat.csv", "impact.csv"),
+], ids=["output", "input", "report_input"])
+def test_a_file_name_the_c_locale_cannot_encode_exits_2_naming_its_key(
+    tmp_path, data_dir, command, key, value, source
+):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    if command == "report":
+        manifest.write_text(f"{key} = {value}\n", encoding="utf-8")
+        shutil.copy(_GOLDEN_CLI / "impact" / "impact.csv", bundle)
+    else:
+        text, n = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}",
+                          manifest.read_text(encoding="utf-8"))
+        assert n == 1, key
+        manifest.write_text(text, encoding="utf-8")
+    if source:  # the input exists, under the UTF-8 bytes of its name
+        folder = os.fsencode(bundle) + b"/"
+        os.rename(folder + source.encode(), folder + value.encode("utf-8"))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "hcimpact.cli", command,
+                           "--manifest", str(manifest), "--out", str(out)],
+                          capture_output=True,  # under the C locale the codecs are ASCII
+                          env=_subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                                              PYTHONUTF8="0"))
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.decode("ascii", "backslashreplace")
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert key in err and "file-system encoding" in err, err
+    assert not out.exists()
+
+
+def test_python_m_runs_the_process_entry_that_freezes_the_import_time_heap(tmp_path):
+    script = (
+        "import gc, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('hcimpact.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, "impact", "--manifest",
+                           str(DATA_DIR / "manifest.txt"), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    code, frozen = proc.stdout.splitlines()[-1].split()
+    assert code == "0" and int(frozen) > 0
+    assert (tmp_path / "out" / "impact.csv").read_bytes() == (
+        _GOLDEN_CLI / "impact" / "impact.csv").read_bytes()
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert run_cli("impact", "--manifest", DATA_DIR / "manifest.txt",
+                   "--out", tmp_path / "out") == 0
+    assert calls == []
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append(("main", argv)) or 7)
+    assert cli.console_main() == 7
+    assert calls == ["freeze", ("main", None)]
+
+
+def test_the_installed_script_is_the_process_entry():
+    # a text check: tomllib is missing on 3.10
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'hcimpact = "hcimpact.cli:console_main"'
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
