@@ -24,7 +24,7 @@ from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import evaluate_model
 from .impact import impact_row, sensitivity_grid
-from .manifest import SCHEMA, RunManifest, parse_manifest
+from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
 
@@ -52,11 +52,7 @@ def _add_output(files, sources, name: str, content: str, source: str) -> None:
     """
     if Path(name).name != name or "\0" in name:
         raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
-    try:
-        os.fsencode(name)
-    except UnicodeEncodeError:
-        raise ValidationError(f"{source}: output name {name!r} cannot be encoded in the "
-                              f"file-system encoding {sys.getfilesystemencoding()}") from None
+    require_encodable(name, f"{source}: output name {name!r}")
     if name in sources:
         both = source if sources[name] == source else f"{sources[name]} and {source}"
         raise ValidationError(f"{both}: output file {name} would be written twice")
@@ -112,6 +108,10 @@ def _impact_inputs(manifest: RunManifest, populations: str, **fixed):
     if config.shock_date not in inputs.params.gdp:
         manifest.fail("scenario.shock_date", f"{manifest.file('data.gdp')}: GDP path does not "
                       f"cover the shock date {config.shock_date}")
+    try:
+        inputs.grid.date_index(config.shock_date)
+    except ValidationError as exc:
+        manifest.fail("scenario.shock_date", str(exc))
     for key, what, tables in ((populations, "population scenario", inputs.populations),
                               ("scenario.cost_profile", "cost profile", inputs.cost_profiles),
                               ("scenario.ds_scenario", "D/S scenario", inputs.ds_profiles)):

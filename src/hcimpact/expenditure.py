@@ -17,7 +17,7 @@ per-capita costs in EUR/person/year, expenditure in EUR millions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -128,17 +128,17 @@ class ExpenditurePath:
 class ModelParameters:
     """Residual parameter bundle shared by all expenditure models.
 
-    ``utilization`` is a dimensionless per-cohort multiplier (scalar or
-    vector; default 1 everywhere). ``health_improvement_rate`` is the
-    effective-age drift in years of age per calendar year (default 0.25,
-    i.e. three months over year). ``gdp`` maps projection dates to GDP in
-    EUR millions and is only used for share reporting.
+    ``utilization`` is a dimensionless per-cohort multiplier, checked once
+    and kept as a float or a read-only vector (default 1 everywhere).
+    ``health_improvement_rate`` is the effective-age drift in years of age
+    per calendar year (default 0.25, i.e. three months over year). ``gdp``
+    maps projection dates to GDP in EUR millions and is only used for share
+    reporting.
     """
 
     utilization: float | np.ndarray | None = None
     health_improvement_rate: float = 0.25
     gdp: Mapping[int, float] | None = None
-    _vectors: dict = field(default_factory=dict, init=False, repr=False)  # cohorts -> vector
 
     def __post_init__(self) -> None:
         r = self.health_improvement_rate
@@ -148,15 +148,9 @@ class ModelParameters:
             for date, v in self.gdp.items():
                 if not np.isfinite(v) or v <= 0.0:
                     raise ValidationError(f"GDP must be positive, got {v} at {date}")
-
-    def utilization_vector(self, grid: CohortGrid) -> np.ndarray:
-        """The multiplier per cohort of ``grid``: checked once per cohort count, then kept."""
-        n = grid.n_cohorts
-        if n not in self._vectors:
-            u = np.asarray(1.0 if self.utilization is None else self.utilization, dtype=float)
-            u = np.full(n, float(u)) if u.ndim == 0 else u
-            self._vectors[n] = frozen_array(u, (n,), "utilization scaling")
-        return self._vectors[n]
+        u = 1.0 if self.utilization is None else self.utilization
+        u = frozen_array(u, np.shape(u)[:1], "utilization scaling")
+        object.__setattr__(self, "utilization", float(u) if u.ndim == 0 else u)
 
 
 def require_same_grid(*objs) -> CohortGrid:
@@ -171,31 +165,34 @@ def require_same_grid(*objs) -> CohortGrid:
 def model_weights(
     model: str,
     grid: CohortGrid,
-    date: int,
+    date: int | np.ndarray,
     params: ModelParameters,
     costs: np.ndarray,
     ds: np.ndarray | None = None,
     pd5_base: np.ndarray | None = None,
     pd5: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-capita weights ``u * cost`` of one model at one date: its one formula.
+    """Per-capita weights ``u * cost`` of one model: its one formula.
 
-    ``costs`` is a cost row or a ``(k, cohorts)`` stack of them. DC also
-    takes the D/S ratios and the 5-year death probabilities at the base
-    date and at ``date`` (rows or stacks); the result broadcasts over
-    every stack. Expenditure at ``date`` is :func:`contract` of the
-    head-counts with each weight row, which also reports a weight that
-    overflowed.
+    ``date`` is one date or a ``(dates, 1)`` column of them. ``costs`` is a
+    cost row or a ``(k, cohorts)`` stack of them. DC also takes the D/S
+    ratios and the 5-year death probabilities at the base date and at
+    ``date`` (rows or stacks, one row per date of a column); the result
+    broadcasts over every stack. Expenditure at ``date`` is
+    :func:`contract` of the head-counts with each weight row, which also
+    reports a weight that overflowed.
     """
-    u = params.utilization_vector(grid)
+    u, n = params.utilization, (grid.n_cohorts,)
+    if isinstance(u, np.ndarray) and u.shape != n:
+        raise ValidationError(f"utilization scaling: shape {u.shape}, expected {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         if model == "PD":
             return u * costs
         if model == "CH":
             mids = np.array(grid.cohort_midpoints())
-            shift = params.health_improvement_rate * (date - grid.base_date)
-            eff_costs = [np.interp(mids - shift, mids, row) for row in np.atleast_2d(costs)]
-            return u * np.reshape(eff_costs, np.shape(costs))
+            ages = mids - params.health_improvement_rate * (date - grid.base_date)
+            eff_costs = [np.interp(ages, mids, row) for row in np.atleast_2d(costs)]
+            return u * np.reshape(eff_costs, np.shape(costs)[:-1] + ages.shape)
         if model == "DC":
             s, d = _split_costs(costs, ds, annualized(pd5_base))
             pd1 = annualized(pd5)
@@ -225,13 +222,11 @@ def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarr
 
 
 def _path(model, grid, pop, costs, params, ds=None, mortality=None) -> ExpenditurePath:
-    dp = None if ds is None else mortality.death_prob
-    values = []
-    for i, date in enumerate(grid.dates):
-        dc = () if dp is None else (ds.values, dp[:, 0], dp[:, i])
-        weights = model_weights(model, grid, date, params, costs.values, *dc)
-        values.append(contract(pop.counts[:, i], weights)[0])
-    return ExpenditurePath(model, pop.scenario, grid.dates, values)
+    """Every date of ``model``'s path: one kernel call on the column of dates, one contraction."""
+    dc = () if ds is None else (ds.values, mortality.death_prob[:, 0], mortality.death_prob.T)
+    weights = model_weights(model, grid, np.array(grid.dates)[:, None], params, costs.values, *dc)
+    values = contract(pop.counts.T[:, None], np.reshape(weights, (-1, 1, grid.n_cohorts)))
+    return ExpenditurePath(model, pop.scenario, grid.dates, values[:, 0])
 
 
 def expenditure_pd(
@@ -319,11 +314,6 @@ def evaluate_model(
     mortality: MortalityTable,
     params: ModelParameters,
 ) -> ExpenditurePath:
-    """Dispatch to one of the expenditure models by tag (PD, CH or DC)."""
-    if model == "PD":
-        return expenditure_pd(pop, costs, params)
-    if model == "CH":
-        return expenditure_ch(pop, costs, mortality, params)
-    if model == "DC":
-        return expenditure_dc(pop, costs, ds, mortality, params)
-    raise ValidationError(f"unknown model {model!r}; valid ids: {', '.join(MODELS)}")
+    """The expenditure path of one of the models by tag (PD, CH or DC)."""
+    grid = require_same_grid(pop, costs, ds, mortality)
+    return _path(model, grid, pop, costs, params, ds=ds, mortality=mortality)

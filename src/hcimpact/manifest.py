@@ -27,7 +27,7 @@ from .impact import ScenarioConfig, ScenarioInputs, parse_selector
 from .population import MortalityTable, PopulationPath
 from .relative_risk import ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
 
-__all__ = ["KNOWN_KEYS", "SCHEMA", "RunManifest", "parse_manifest"]
+__all__ = ["KNOWN_KEYS", "SCHEMA", "RunManifest", "parse_manifest", "require_encodable"]
 
 
 # Each parser takes the stripped text of a value and returns the value, or
@@ -128,6 +128,16 @@ SCHEMA = {
 KNOWN_KEYS = frozenset(SCHEMA)
 
 
+def require_encodable(path, what: str) -> None:
+    """Raise ``ValidationError`` naming ``what`` unless the file-system
+    encoding can represent ``path``: the one check of every file name."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} cannot be encoded in the file-system encoding "
+                              f"{sys.getfilesystemencoding()}") from None
+
+
 @dataclass
 class RunManifest:
     """Parsed manifest: raw keys plus the directory they resolve against."""
@@ -160,10 +170,9 @@ class RunManifest:
         a name the file-system encoding cannot represent is an input error."""
         path = self.source.parent / name
         try:
-            os.fsencode(path)
-        except UnicodeEncodeError:
-            self.fail(key, f"file name {name!r} cannot be encoded in the file-system "
-                      f"encoding {sys.getfilesystemencoding()}")
+            require_encodable(path, f"file name {name!r}")
+        except ValidationError as exc:
+            self.fail(key, str(exc))
         return path
 
     def file(self, key: str) -> Path:

@@ -842,6 +842,23 @@ def test_shock_date_off_the_gdp_path_names_manifest_key_and_gdp_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["impact", "sensitivity"])
+def test_shock_date_on_the_gdp_path_but_off_the_grid_names_manifest_and_key(
+    tmp_path, data_dir, capsys, command
+):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    with open(bundle / "gdp.csv", "a") as gdp:
+        gdp.write("2012,1500000\n")
+    manifest = bundle / "manifest.txt"
+    _set_manifest_value(manifest, "scenario.shock_date", "2012")
+    out = tmp_path / "out"
+    assert run_cli(command, "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: key 'scenario.shock_date': date 2012 is not on the projection grid\n")
+    assert not out.exists()
+
+
 def test_impact_stdout_on_the_bundled_manifest(tmp_path, data_dir, capsys):
     assert run_cli("impact", "--manifest", data_dir / "manifest.txt",
                    "--out", tmp_path / "out") == 0

@@ -20,9 +20,10 @@ from hcimpact import (
     rescaling_factor,
 )
 
-from hcimpact.expenditure import contract
+from hcimpact.expenditure import contract, model_weights
+from hcimpact.manifest import parse_manifest
 
-from conftest import BUNDLED_SHARES, grid_of
+from conftest import BUNDLED_SHARES, DATA_DIR, grid_of
 
 
 def _constant_mortality(grid, pd5):
@@ -313,3 +314,60 @@ class TestContractBits:
         stacked = contract(np.stack([counts, counts])[:, None], row, rows)
         assert stacked.shape == (2, rows)
         assert np.all(stacked - base == 0.0)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return parse_manifest(DATA_DIR / "manifest.txt").load_inputs()
+
+
+class TestOneContraction:
+    """A path is one weight stack over its dates and one contraction."""
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar_u", "vector_u"])
+    @pytest.mark.parametrize("rate", [0.0, 0.25, 0.7])
+    @pytest.mark.parametrize("model", ["PD", "CH", "DC"])
+    def test_stacked_path_equals_the_per_date_evaluation(self, bundled, model, rate, vector):
+        grid, mort = bundled.grid, bundled.mortality
+        u = np.linspace(0.7, 1.3, grid.n_cohorts) if vector else 1.0
+        params = ModelParameters(utilization=u, health_improvement_rate=rate)
+        costs, ds = bundled.cost_profiles["ARC1"], bundled.ds_profiles["central"]
+        dp = mort.death_prob
+        alone = {"PD": lambda pop: expenditure_pd(pop, costs, params),
+                 "CH": lambda pop: expenditure_ch(pop, costs, mort, params),
+                 "DC": lambda pop: expenditure_dc(pop, costs, ds, mort, params)}[model]
+        for pop in bundled.populations.values():
+            path = evaluate_model(model, pop, costs, ds, mort, params)
+            public = alone(pop)
+            for j, date in enumerate(grid.dates):
+                weights = model_weights(model, grid, date, params, costs.values, ds.values,
+                                        dp[:, 0], dp[:, j])
+                (value,) = contract(pop.counts[:, j], weights)
+                assert path.values[j].tobytes() == value.tobytes(), (pop.scenario, date)
+                assert public.values[j].tobytes() == value.tobytes(), (pop.scenario, date)
+
+
+class TestUtilization:
+    @pytest.mark.parametrize("u", [-1.0, float("nan"), np.array([1.0, -1.0])])
+    def test_a_bad_multiplier_fails_when_built(self, u):
+        with pytest.raises(ValidationError, match="utilization scaling must be finite and >= 0"):
+            ModelParameters(utilization=u)
+
+    def test_a_vector_is_kept_as_a_read_only_copy(self):
+        u = np.array([1.0, 0.8, 1.3])
+        params = ModelParameters(utilization=u)
+        u[0] = 5.0
+        assert params.utilization.tolist() == [1.0, 0.8, 1.3]
+        assert not params.utilization.flags.writeable
+        assert ModelParameters().utilization == 1.0
+
+    @pytest.mark.parametrize("model", ["PD", "CH", "DC"])
+    def test_a_vector_of_the_wrong_length_fails_on_evaluation(self, model):
+        grid = grid_of(3, 2)
+        pop = PopulationPath("S", grid, np.ones((3, 2)))
+        costs = CostProfile("C", grid, np.full(3, 1000.0))
+        ds = DSRatioProfile("D", grid, np.full(3, 5.0))
+        params = ModelParameters(utilization=np.ones(4))
+        with pytest.raises(ValidationError, match=r"^utilization scaling: shape \(4,\), "
+                                                  r"expected \(3,\)$"):
+            evaluate_model(model, pop, costs, ds, _constant_mortality(grid, 0.1), params)
