@@ -23,7 +23,7 @@ from pathlib import Path
 from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import evaluate_model
-from .impact import impact_row, sensitivity_grid
+from .impact import sensitivity_grid
 from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
@@ -132,15 +132,16 @@ def _impact_table(stem: str, rows, fmt: str) -> dict[str, str]:
 
 def _build_impact(manifest: RunManifest, fmt: str):
     inputs, config = _impact_inputs(manifest, "scenario.population")
-    row = impact_row(config, inputs)
-    result = row.result
-    base_path = evaluate_model(  # impact_row has resolved every id
+    axes = [config.rr_selection], [config.rf_selection], [config.model], [config.population]
+    grid = sensitivity_grid(config, inputs, *axes)  # the scenario's one-cell grid
+    result = grid[0].result
+    base_path = evaluate_model(  # sensitivity_grid has resolved every id
         config.model, inputs.populations[config.population],
         inputs.cost_profiles[config.cost_profile], inputs.ds_profiles[config.ds_scenario],
         inputs.mortality, inputs.params,
     )
 
-    files = _impact_table("impact", [row], fmt)
+    files = _impact_table("impact", grid, fmt)
     if fmt == "table":
         files["expenditure.txt"] = render_table(
             list(io.EXPENDITURE_COLUMNS),
@@ -154,7 +155,7 @@ def _build_impact(manifest: RunManifest, fmt: str):
     stdout = [f"{key} = {v if isinstance(v, (str, int)) else io.fmt_value(v)}"
               for key in SCHEMA if key.startswith("scenario.") for v in [manifest.value(key)]]
     stdout += [
-        f"resolved rescaling factor = {io.fmt_value(row.rf)}",
+        f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}",
         f"crimi = {_eur(result.crimi, result.crimi_gdp_pct)}",
         f"criui = {_eur(result.criui, result.criui_gdp_pct)}",
         f"cri = {_eur(result.cri, result.cri_gdp_pct)}",

@@ -17,11 +17,12 @@ There is one evaluation path, :func:`sensitivity_grid`, and it evaluates
 the shock date only; a single scenario (:func:`cri`, :func:`crimi`,
 :func:`criui`) is its one-cell case. Every model is linear in the cost
 profile and in the population, so each value is the contraction of one
-head-count column with one weight row, and the whole grid is three
-contractions of stacked rows (base, shocked, rescaled). The grid comes back as a
-:class:`GridResult`: ``crimi`` depends only on (model, population, RR)
-and ``criui`` only on (model, population, RF), so it keeps those two
-arrays plus the axes, and builds each cell's :class:`GridRow` on demand.
+head-count column with one weight row, and the whole grid is one
+contraction of a stack of 1 + RR + RF rows per model (base, shocked,
+rescaled). The grid comes back as a :class:`GridResult`: ``crimi``
+depends only on (model, population, RR) and ``criui`` only on (model,
+population, RF), so it keeps those two arrays plus the axes, and builds
+each cell's :class:`GridRow` on demand.
 """
 
 from __future__ import annotations
@@ -300,13 +301,14 @@ def sensitivity_grid(
     axis-coordinate order (model, population, mortality RR, RF).
 
     Every input is validated once per grid and only the shock date is
-    evaluated, as one array program. :func:`~hcimpact.expenditure.model_weights`
-    gives, per model, the base weight row, the shocked rows of all RR
-    selectors and the rescaled rows of all RF-scaled cost rows; each set
-    is stacked as ``(models, 1, k, cohorts)``. The head-counts at the
-    shock date are stacked as ``(pops, 1, cohorts)``, so three
-    :func:`~hcimpact.expenditure.contract` calls give every value as
-    ``(models, pops, k)``, and ``crimi`` and ``criui`` are one subtraction
+    evaluated, as one array program. One
+    :func:`~hcimpact.expenditure.model_weights` call per model gives a stack
+    of 1 + RR + RF weight rows: the base row, the shocked row of each RR
+    selector and the rescaled row of each RF-scaled cost row, stacked as
+    ``(models, 1, rows, cohorts)``. The head-counts at the shock date are
+    stacked as ``(pops, 1, cohorts)``, so one
+    :func:`~hcimpact.expenditure.contract` call gives every value as
+    ``(models, pops, rows)``, and ``crimi`` and ``criui`` are one subtraction
     each. The rescaled value is a real evaluation, not ``(RF - 1) * base``.
     """
     for name, axis in (
@@ -332,23 +334,19 @@ def sensitivity_grid(
     frozen_array(numeric, numeric.shape, "lower bounds")  # the numeric RR selectors, at once
     shocked = shock_death_probs(mortality, rr, t)
     rfs = [resolve_rf(r, inputs) for r in rf_values]
+    n_rr, pd5 = len(rr_values), mortality.death_prob[:, j]
+    # one row per evaluation: the base, then each RR selector's shock, then each RF
     with np.errstate(over="ignore"):  # an overflow is contract's finiteness error
-        rescaled_costs = costs.values * np.array(rfs)[:, None]
-    pd5_base, pd5 = mortality.death_prob[:, 0], mortality.death_prob[:, j]
+        cost_rows = costs.values * np.array([1.0] * (1 + n_rr) + rfs)[:, None]
+    probs = np.vstack([pd5, shocked, *[pd5] * len(rfs)])
     # a shock at the base date also moves DC's survivor/decedent split
-    shocked_base = shocked if j == 0 else pd5_base
+    base_probs = probs if j == 0 else mortality.death_prob[:, 0]
     params = inputs.params
     gdp = None if params.gdp is None else params.gdp.get(t)
-
-    def weights(k, cost_rows, base_probs, probs):  # (models, 1, k, cohorts)
-        rows = [model_weights(m, grid, t, params, cost_rows, ds.values, base_probs, probs)
-                for m in models]
-        return np.stack([np.broadcast_to(w, (k, grid.n_cohorts)) for w in rows])[:, None]
-
+    weights = np.stack([model_weights(m, grid, t, params, cost_rows, ds.values, base_probs, probs)
+                        for m in models])[:, None]  # (models, 1, rows, cohorts)
     counts = np.stack([pop.counts[:, j] for pop in pops])[:, None]  # (pops, 1, cohorts)
-    n_rr, n_rf = len(rr_values), len(rfs)
-    value = contract(counts, weights(1, costs.values, pd5_base, pd5))
-    crimis = contract(counts, weights(n_rr, costs.values, shocked_base, shocked), n_rr) - value
-    criuis = contract(counts, weights(n_rf, rescaled_costs, pd5_base, pd5), n_rf) - value
+    values = contract(counts, weights, len(probs))  # (models, pops, rows)
+    value, shocked_values, rescaled_values = np.split(values, [1, 1 + n_rr], axis=-1)
     return GridResult(tuple(models), tuple(pop_scenarios), tuple(rr_values), tuple(rfs),
-                      t, gdp, crimis, criuis)
+                      t, gdp, shocked_values - value, rescaled_values - value)

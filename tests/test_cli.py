@@ -879,6 +879,23 @@ def test_impact_stdout_on_the_bundled_manifest(tmp_path, data_dir, capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_impact_writes_the_scenario_one_cell_grid(tmp_path, data_dir, capsys, fmt):
+    manifest = data_dir / "manifest.txt"
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", manifest, "--out", out, "--format", fmt) == 0
+    m = parse_manifest(manifest)
+    config = m.scenario_config()
+    grid = sensitivity_grid(config, m.load_inputs(), [config.rr_selection],
+                            [config.rf_selection], [config.model], [config.population])
+    if fmt == "csv":
+        assert (out / "impact.csv").read_text() == io.impact_csv_text(grid)
+    else:
+        expected = render_table(list(io.IMPACT_COLUMNS), list(zip(*io.impact_columns(grid))))
+        assert (out / "impact.txt").read_text() == expected
+    assert f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}\n" in capsys.readouterr().out
+
+
 def test_readme_key_table_lists_every_known_key():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     groups = "|".join({key.partition(".")[0] for key in KNOWN_KEYS})

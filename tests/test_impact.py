@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import hcimpact.impact
 from hcimpact import (
     MODELS,
     CostProfile,
@@ -276,6 +277,21 @@ class TestSensitivityGrid:
             models=["PD", "CH", "DC"], pop_scenarios=["S0"],
         )
         assert len(rows) == 3 * 1 * 3 * 2
+
+    @pytest.mark.parametrize("models", [["DC"], ["PD", "CH", "DC"]])
+    def test_one_kernel_call_per_model_and_one_contraction(self, data_dir, monkeypatch, models):
+        manifest = parse_manifest(data_dir / "manifest.txt")
+        inputs, base = manifest.load_inputs(), manifest.scenario_config()
+        calls = {"model_weights": 0, "contract": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(hcimpact.impact, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(hcimpact.impact, name, spy)
+        grid = sensitivity_grid(base, inputs, ["lower", "upper", 1.2], ["lower", "upper"],
+                                models, ["PopMV", "PopLV"])
+        assert len(grid) == len(models) * 2 * 3 * 2
+        assert calls == {"model_weights": len(models), "contract": 1}
 
     def test_empty_axis_rejected(self, rng):
         inputs, config = random_inputs(rng)
