@@ -297,8 +297,7 @@ def expenditure_dc(
     evaluation date, so a mortality shock moves expenditure through the
     expected number of decedents alone.
     """
-    grid = require_same_grid(pop, costs, ds, mortality)
-    return _path("DC", grid, pop, costs, params, ds=ds, mortality=mortality)
+    return evaluate_model("DC", pop, costs, ds, mortality, params)
 
 
 def rescaling_factor(shares: ExpenditureShares, rrs: UtilizationRRSet) -> float:

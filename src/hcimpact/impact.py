@@ -46,7 +46,7 @@ from .expenditure import (
 )
 from .grid import CohortGrid, frozen_array
 from .population import MortalityTable, PopulationPath
-from .relative_risk import MortalityRRTable, UtilizationRRSet, shock_death_probs
+from .relative_risk import BOUNDS, MortalityRRTable, UtilizationRRSet, shock_death_probs
 
 __all__ = [
     "ScenarioConfig",
@@ -63,13 +63,11 @@ __all__ = [
     "gdp_share_pct",
 ]
 
-BOUND_SELECTORS = ("lower", "upper")
-
 
 def parse_selector(text: str) -> str | float:
     """Parse a bound selector: ``lower``, ``upper`` or a uniform numeric value."""
     t = text.strip()
-    if t in BOUND_SELECTORS:
+    if t in BOUNDS:
         return t
     try:
         return float(t)

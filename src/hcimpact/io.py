@@ -33,17 +33,15 @@ from .population import MortalityTable, PopulationPath
 from .relative_risk import (
     SERVICES,
     LaborMarketState,
-    RelativeRisk,
     StudyRecords,
     UtilizationRRSet,
-    dilute_relative_risk,
+    _dilute,
     first_bad_record,
 )
 
 __all__ = [
     "read_population_csv",
     "population_csv_text",
-    "mortality_csv_text",
     "impact_csv_text",
     "impact_columns",
     "expenditure_csv_text",
@@ -471,13 +469,9 @@ def read_mortality_csv(path) -> MortalityTable:
     return MortalityTable(grid=grid, death_prob=tables[0])
 
 
-def mortality_csv_text(table: MortalityTable) -> str:
-    return _csv_text({"date": int, "cohort_lo": int, "cohort_hi": int, "pd_5yr": float},
-                     _dated_rows(table.grid, table.death_prob))
-
-
 def write_mortality_csv(table: MortalityTable, out) -> None:
-    Path(out).write_text(mortality_csv_text(table), encoding="utf-8")
+    Path(out).write_text(_csv_text(dict(date=int, cohort_lo=int, cohort_hi=int, pd_5yr=float),
+                                   _dated_rows(table.grid, table.death_prob)), encoding="utf-8")
 
 
 # ------------------------------------------------------------ relative risks
@@ -534,7 +528,7 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
          lambda row: f"negative relative risk {float(columns['rr'][row])}"),
         _flag("diluted", columns["diluted"]),
     ])
-    values = {service: rr if flag == "1" else dilute_relative_risk(RelativeRisk(rr), labor).value
+    values = {service: rr if flag == "1" else _dilute(rr, labor.unemployment_rate)
               for service, (rr, flag) in rows.items()}
     for required in ("H", "S", "GP"):
         if required not in values:

@@ -25,7 +25,7 @@ from .expenditure import MODELS, ModelParameters
 from .grid import Tables
 from .impact import ScenarioConfig, ScenarioInputs, parse_selector
 from .population import MortalityTable, PopulationPath
-from .relative_risk import ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
+from .relative_risk import BOUNDS, ENVELOPE_POLICIES, LaborMarketState, build_rr_envelope
 
 __all__ = ["KNOWN_KEYS", "SCHEMA", "RunManifest", "parse_manifest", "require_encodable"]
 
@@ -238,7 +238,7 @@ class RunManifest:
             grid=grid, populations=populations, mortality=mortality, rr_mortality=envelope,
             rr_utilization={
                 bound: io.read_rr_utilization_csv(files[f"data.rr_utilization_{bound}"], labor)
-                for bound in ("lower", "upper")
+                for bound in BOUNDS
             },
             cost_profiles=io.read_cost_profiles_csv(files["data.cost_profiles"], grid),
             ds_profiles=io.read_ds_ratios_csv(files["data.ds_ratios"], grid),

@@ -121,18 +121,15 @@ def project_population(
 
     initial = frozen_array(initial, (grid.n_cohorts,), "initial head-counts")
 
-    n = grid.n_cohorts
-    counts = np.zeros((n, last + 1))
+    counts = np.zeros((grid.n_cohorts, last + 1))
     counts[:, 0] = initial
     with np.errstate(over="ignore", invalid="ignore"):  # PopulationPath rejects inf and nan
         for i in range(last):
             cur = counts[:, i]
             surv = cur * (1.0 - mortality.death_prob[:, i])
-            nxt = np.zeros(n)
-            nxt[1:] = surv[:-1]
-            nxt[-1] += surv[-1]  # open-ended cohort accumulates its own survivors
-            nxt[0] = births.annual_rate * cur.sum() * 5.0
-            counts[:, i + 1] = nxt
+            counts[1:, i + 1] = surv[:-1]
+            counts[-1, i + 1] += surv[-1]  # open-ended cohort accumulates its own survivors
+            counts[0, i + 1] = births.annual_rate * cur.sum() * 5.0
 
     path_grid = CohortGrid(grid.cohort_starts, grid.dates[: last + 1])
     return PopulationPath(scenario=births.name, grid=path_grid, counts=counts)

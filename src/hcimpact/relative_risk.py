@@ -47,6 +47,9 @@ SERVICES = ("H", "P", "S", "GP", "R", "m")
 
 ENVELOPE_POLICIES = ("population_level", "hull")
 
+#: Names of the two envelope bounds, as selectors and as manifest-key suffixes.
+BOUNDS = ("lower", "upper")
+
 
 @dataclass(frozen=True)
 class LaborMarketState:
@@ -121,11 +124,9 @@ class MortalityRRTable:
         return cls(grid=grid, lower=v, upper=v)
 
     def select(self, bound: str) -> np.ndarray:
-        if bound == "lower":
-            return self.lower
-        if bound == "upper":
-            return self.upper
-        raise ValidationError(f"unknown bound selection {bound!r}; use 'lower' or 'upper'")
+        if bound not in BOUNDS:
+            raise ValidationError(f"unknown bound selection {bound!r}; use 'lower' or 'upper'")
+        return getattr(self, bound)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from hcimpact import (
     StudyRecord,
     StudyRecords,
     ValidationError,
+    build_rr_envelope,
     cri,
 )
 from hcimpact import io
@@ -131,6 +132,18 @@ class TestRiskFiles:
         assert rrs.pharmaceutical == 1.0
         assert rrs.rehabilitation == 1.0
         assert rrs.minor == 1.0
+
+    @pytest.mark.parametrize("w", [0.0, 0.1, 0.37, 1.0])
+    def test_utilization_dilutes_as_the_risk_api_and_the_envelope(self, tmp_path, w):
+        f = tmp_path / "ur.csv"
+        f.write_text("service,rr,diluted\nH,0,0\nS,1.63,0\nGP,1e300,0\n")
+        labor, grid = LaborMarketState(w), grid_of(3, 1)
+        rrs = io.read_rr_utilization_csv(f, labor)
+        for got, rr in ((rrs.hospital, 0.0), (rrs.specialist, 1.63), (rrs.general_practice, 1e300)):
+            want = dilute_relative_risk(RelativeRisk(rr), labor).value
+            envelope = build_rr_envelope([StudyRecord(0, 99, rr, rr, diluted=False)], labor, grid)
+            assert got.hex() == want.hex()
+            assert [v.hex() for v in envelope.lower.tolist()] == [want.hex()] * 3
 
     def test_utilization_missing_hospital_rejected(self, tmp_path):
         f = tmp_path / "ur.csv"

@@ -111,6 +111,34 @@ class TestProjection:
                 survivors + births, rel=1e-12
             )
 
+    @given(data=st.data(), n=st.integers(2, 8), d=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_are_bit_identical_to_a_scratch_vector_step(self, data, n, d):
+        # the reference builds each step in its own vector and copies it in
+        def reference(initial, death_prob, rate, last):
+            counts = np.zeros((n, last + 1))
+            counts[:, 0] = initial
+            for i in range(last):
+                cur = counts[:, i]
+                surv = cur * (1.0 - death_prob[:, i])
+                nxt = np.zeros(n)
+                nxt[1:] = surv[:-1]
+                nxt[-1] += surv[-1]
+                nxt[0] = rate * cur.sum() * 5.0
+                counts[:, i + 1] = nxt
+            return counts
+
+        unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        grid = grid_of(n, d)
+        dp = np.array(data.draw(st.lists(unit, min_size=n * d, max_size=n * d))).reshape(n, d)
+        initial = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+        rate = data.draw(unit)
+        last = data.draw(st.integers(0, d - 1))
+        path = project_population(initial, MortalityTable(grid, dp), BirthRateScenario("b", rate),
+                                  horizon=grid.dates[last])
+        want = reference(initial, dp, rate, last)
+        assert np.array_equal(path.counts.view(np.int64), want.view(np.int64))
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_monotone_damage(self, seed):

@@ -12,9 +12,12 @@ from hcimpact import (
     apply_mortality_shock,
     build_rr_envelope,
     dilute_relative_risk,
+    parse_selector,
 )
+from hcimpact.manifest import parse_manifest
+from hcimpact.relative_risk import BOUNDS, MortalityRRTable
 
-from conftest import grid_of
+from conftest import DATA_DIR, grid_of
 
 
 class TestDilution:
@@ -328,3 +331,16 @@ def test_study_records_reject_a_bad_row_with_its_record_error():
     assert StudyRecords.of([good])[0] == good and StudyRecords.of([good])[-1] == good
     with pytest.raises(IndexError):
         StudyRecords.of([good])[1]
+
+
+def test_the_bound_names_are_declared_once():
+    assert BOUNDS == ("lower", "upper")
+    table = MortalityRRTable(grid_of(2, 1), [1.0, 1.1], [1.2, 1.3])
+    for b in BOUNDS:
+        assert parse_selector(f" {b} ") == b
+        assert table.select(b) is getattr(table, b)
+    with pytest.raises(ValidationError) as exc:
+        table.select("Upper")
+    assert str(exc.value) == "unknown bound selection 'Upper'; use 'lower' or 'upper'"
+    inputs = parse_manifest(DATA_DIR / "manifest.txt").load_inputs()
+    assert list(inputs.rr_utilization) == list(BOUNDS)
