@@ -23,7 +23,7 @@ from pathlib import Path
 from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import evaluate_model
-from .impact import sensitivity_grid
+from .impact import gdp_share_pct, sensitivity_grid
 from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
@@ -35,8 +35,8 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _eur(value: float, gdp_pct: float) -> str:
-    return f"{io.fmt_value(value)} EUR millions ({io.fmt_value(gdp_pct)}% of GDP)"
+def _eur(value: float, gdp: float | None) -> str:
+    return f"{io.fmt_value(value)} EUR millions ({io.fmt_value(gdp_share_pct(value, gdp))}% of GDP)"
 
 
 # ------------------------------------------------------------------ builders
@@ -156,9 +156,9 @@ def _build_impact(manifest: RunManifest, fmt: str):
               for key in SCHEMA if key.startswith("scenario.") for v in [manifest.value(key)]]
     stdout += [
         f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}",
-        f"crimi = {_eur(result.crimi, result.crimi_gdp_pct)}",
-        f"criui = {_eur(result.criui, result.criui_gdp_pct)}",
-        f"cri = {_eur(result.cri, result.cri_gdp_pct)}",
+        f"crimi = {_eur(result.crimi, result.gdp)}",
+        f"criui = {_eur(result.criui, result.gdp)}",
+        f"cri = {_eur(result.cri, result.gdp)}",
     ]
     return files, stdout
 
@@ -171,12 +171,11 @@ def _build_sensitivity(manifest: RunManifest, fmt: str):
                                   model=axes[2][0], population=axes[3][0])
     grid = sensitivity_grid(base, inputs, *axes)
 
-    cri = grid.cri.ravel()  # argmin/argmax take the first extreme cell, as min/max did
-    lo, hi = grid[int(cri.argmin())].result, grid[int(cri.argmax())].result
+    cri = grid.cri
     stdout = [
         f"grid cells = {len(grid)}",
-        f"CRI min = {_eur(lo.cri, lo.cri_gdp_pct)}",
-        f"CRI max = {_eur(hi.cri, hi.cri_gdp_pct)}",
+        f"CRI min = {_eur(cri.min(), grid.gdp)}",
+        f"CRI max = {_eur(cri.max(), grid.gdp)}",
     ]
     return _impact_table("sensitivity", grid, fmt), stdout
 

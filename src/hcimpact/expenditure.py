@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import CohortGrid, frozen_array
+from .grid import COHORT_WIDTH, CohortGrid, frozen_array
 from .population import MortalityTable, PopulationPath, annualized
 from .relative_risk import SERVICES, ServiceValues, UtilizationRRSet
 
@@ -189,7 +189,7 @@ def model_weights(
         if model == "PD":
             return u * costs
         if model == "CH":
-            mids = np.array(grid.cohort_midpoints())
+            mids = np.array(grid.cohort_starts) + COHORT_WIDTH / 2.0
             ages = mids - params.health_improvement_rate * (date - grid.base_date)
             eff_costs = [np.interp(ages, mids, row) for row in np.atleast_2d(costs)]
             return u * np.reshape(eff_costs, np.shape(costs)[:-1] + ages.shape)

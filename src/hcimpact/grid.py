@@ -75,15 +75,6 @@ class CohortGrid:
             return f"{lo}+"
         return f"{lo}-{lo + COHORT_WIDTH - 1}"
 
-    def cohort_bounds(self, i: int) -> tuple[int, int]:
-        """(lo, hi) ages of cohort ``i``; the open-ended cohort reports lo+4."""
-        lo = self.cohort_starts[i]
-        return lo, lo + COHORT_WIDTH - 1
-
-    def cohort_midpoints(self) -> tuple[float, ...]:
-        """Cohort midpoint ages, used for age interpolation of cost profiles."""
-        return tuple(lo + COHORT_WIDTH / 2.0 for lo in self.cohort_starts)
-
 
 def frozen_array(
     values, shape: tuple[int, ...], what: str, lo: float = 0.0, hi: float = math.inf

@@ -177,14 +177,6 @@ class ImpactResult:
         return self.crimi + self.criui
 
     @property
-    def crimi_gdp_pct(self) -> float:
-        return gdp_share_pct(self.crimi, self.gdp)
-
-    @property
-    def criui_gdp_pct(self) -> float:
-        return gdp_share_pct(self.criui, self.gdp)
-
-    @property
     def cri_gdp_pct(self) -> float:
         return gdp_share_pct(self.cri, self.gdp)
 

@@ -443,9 +443,10 @@ def load_exogenous_path(name: str, source) -> PopulationPath:
 
 
 def _dated_rows(grid: CohortGrid, values: np.ndarray) -> Iterator[tuple]:
-    """Rows ``(date, cohort_lo, cohort_hi, value)`` of a dated table, cohort by cohort."""
-    for (lo, hi), cells in zip(map(grid.cohort_bounds, range(grid.n_cohorts)), values.tolist()):
-        yield from ((date, lo, hi, v) for date, v in zip(grid.dates, cells))
+    """Rows ``(date, cohort_lo, cohort_hi, value)`` of a dated table, cohort by cohort;
+    the open-ended cohort reports lo+4 as its ``cohort_hi``."""
+    for lo, cells in zip(grid.cohort_starts, values.tolist()):
+        yield from ((date, lo, lo + COHORT_WIDTH - 1, v) for date, v in zip(grid.dates, cells))
 
 
 def population_csv_text(paths: Iterable[PopulationPath]) -> str:

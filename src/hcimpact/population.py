@@ -77,9 +77,6 @@ class PopulationPath:
     def total(self, date: int) -> float:
         return float(self.at(date).sum())
 
-    def totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class BirthRateScenario:

@@ -80,7 +80,7 @@ def render_result_file(path) -> tuple[str | None, list[tuple[str, list[float], l
         rows = []
         for name, p in paths.items():
             rows += ([name, grid.cohort_label(i), *p.counts[i, :]] for i in range(grid.n_cohorts))
-            series.append((f"{name}_total", [float(d) for d in grid.dates], list(p.totals())))
+            series.append((f"{name}_total", list(map(float, grid.dates)), list(p.counts.sum(0))))
         return render_table(["scenario", "cohort", *map(str, grid.dates)], rows), series
 
     rows = io.read_result_rows(path, schema)

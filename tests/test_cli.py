@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcimpact import PopulationPath, cli, io, parse_selector, sensitivity_grid
+from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
 from hcimpact.report import render_result_file, render_table, sniff_schema
@@ -826,6 +826,25 @@ def test_mortality_grid_mismatch_names_the_mortality_file(tmp_path, data_dir, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["population.csv", "mortality.csv"])
+@pytest.mark.parametrize("cohort, problem", [
+    ("10,14", "cohorts must be contiguous 5-year bins, got 5 then 15"),
+    ("0,4", "first cohort must start at age 0"),
+])
+def test_a_missing_cohort_bin_exits_2_naming_the_file(tmp_path, data_dir, capsys, name, cohort,
+                                                      problem):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    table = bundle / name
+    table.write_text("".join(line for line in table.read_text().splitlines(True)
+                             if f",{cohort}," not in line))
+    out = tmp_path / "out"
+    for command in ("project", "impact", "sensitivity"):
+        assert run_cli(command, "--manifest", bundle / "manifest.txt", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {table}: {problem}\n", command
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["impact", "sensitivity"])
 def test_shock_date_off_the_gdp_path_names_manifest_key_and_gdp_file(
     tmp_path, data_dir, capsys, command
@@ -894,6 +913,37 @@ def test_impact_writes_the_scenario_one_cell_grid(tmp_path, data_dir, capsys, fm
         expected = render_table(list(io.IMPACT_COLUMNS), list(zip(*io.impact_columns(grid))))
         assert (out / "impact.txt").read_text() == expected
     assert f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}\n" in capsys.readouterr().out
+
+
+def test_sensitivity_reads_its_cri_range_off_the_grid_without_building_a_row(
+    tmp_path, data_dir, capsys, monkeypatch
+):
+    grids, rows_built = [], []
+    get_row = GridResult.__getitem__
+
+    def kept_grid(*args):
+        grids.append(sensitivity_grid(*args))
+        return grids[-1]
+
+    def counted_row(self, k):
+        rows_built.append(k)
+        return get_row(self, k)
+
+    monkeypatch.setattr(cli, "sensitivity_grid", kept_grid)
+    monkeypatch.setattr(GridResult, "__getitem__", counted_row)
+    assert run_cli("sensitivity", "--manifest", data_dir / "manifest.txt",
+                   "--out", tmp_path / "out") == 0
+    assert rows_built == []
+    [grid] = grids
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"CRI min = {cli._eur(grid.cri.min(), grid.gdp)}",
+                         f"CRI max = {cli._eur(grid.cri.max(), grid.gdp)}"]
+    # the same lines from the first extreme rows, as built one by one
+    results = [get_row(grid, k).result for k in range(len(grid))]
+    for line, extreme in zip(lines[1:], (min, max)):
+        r = extreme(results, key=lambda r: r.cri)
+        assert line.endswith(f" = {io.fmt_value(r.cri)} EUR millions "
+                             f"({io.fmt_value(r.cri_gdp_pct)}% of GDP)")
 
 
 def test_readme_key_table_lists_every_known_key():

@@ -1,17 +1,26 @@
-"""Every grid-indexed table stores a checked, read-only copy of its values."""
+"""Every grid-indexed table stores a checked, read-only copy of its values,
+and every other check of the library's own arguments raises its exact message."""
 
 import numpy as np
 import pytest
 
 from hcimpact import (
+    BirthRateScenario,
+    CohortGrid,
     CostProfile,
     DSRatioProfile,
     ExpenditurePath,
+    ImpactResult,
+    ModelParameters,
     MortalityRRTable,
     MortalityTable,
+    NumericalError,
     PopulationPath,
     ValidationError,
+    io,
+    project_population,
 )
+from hcimpact.relative_risk import shock_death_probs
 
 from conftest import grid_of
 
@@ -71,3 +80,48 @@ def test_table_stores_a_read_only_copy(table):
     values[...] = 0.0
     assert np.array_equal(stored, valid)
     assert not stored.flags.writeable
+
+
+ONE_COHORT = grid_of(1, 2)
+DEATH_PROBS = MortalityTable(GRID, np.full((3, 2), 0.1))
+
+# check: (the call that trips it, exception type, exact message)
+ARGUMENT_CHECKS = {
+    "no_cohort": (lambda: CohortGrid((), (2010,)), ValidationError,
+                  "grid needs at least one cohort"),
+    "no_date": (lambda: CohortGrid((0,), ()), ValidationError,
+                "grid needs at least one projection date"),
+    "cohort_gap": (lambda: CohortGrid((0, 10), (2010,)), ValidationError,
+                   "cohorts must be contiguous 5-year bins, got 0 then 10"),
+    "negative_cost_scale": (lambda: CostProfile("C", GRID, np.full(3, 900.0)).scaled(-1.0),
+                            ValidationError, "cost scale factor must be >= 0, got -1.0"),
+    "zero_ds_ratio": (lambda: DSRatioProfile("D", GRID, [1, 0, 1]), ValidationError,
+                      "D/S ratios must be > 0"),
+    "zero_gdp": (lambda: ModelParameters(gdp={2015: 0.0}), ValidationError,
+                 "GDP must be positive, got 0.0 at 2015"),
+    "nan_impact": (lambda: ImpactResult(2015, np.nan, 0.0), NumericalError,
+                   "impact components must be finite"),
+    "series_lengths": (lambda: io.series_csv_text([1.0], []), ValidationError,
+                       "series x and y lengths differ"),
+    "negative_birth_rate": (lambda: BirthRateScenario("x", -0.1), ValidationError,
+                            "crude birth rate must be finite and >= 0"),
+    "one_cohort_projection": (
+        lambda: project_population(np.ones(1), MortalityTable(ONE_COHORT, np.full((1, 2), 0.1)),
+                                   BirthRateScenario("x", 0.01)),
+        ValidationError, "projection needs at least two cohorts to age into"),
+    "crossed_rr_bounds": (lambda: MortalityRRTable(GRID, [2] * 3, [1] * 3), ValidationError,
+                          "lower bound exceeds upper bound for some cohort"),
+    "nan_risk": (lambda: shock_death_probs(DEATH_PROBS, [1.0, np.nan, 1.0], 2010),
+                 ValidationError, "risk vector must be finite and >= 0"),
+    "negative_risk": (lambda: shock_death_probs(DEATH_PROBS, [1.0, -1.0, 1.0], 2010),
+                      ValidationError, "risk vector must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("check", ARGUMENT_CHECKS)
+def test_argument_check_raises_its_exact_message(check):
+    call, kind, message = ARGUMENT_CHECKS[check]
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind
+    assert str(caught.value) == message
