@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import io
 from .errors import NumericalError, ValidationError
-from .expenditure import evaluate_model
+from .expenditure import ExpenditurePath
 from .impact import gdp_share_pct, sensitivity_grid
 from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
@@ -135,11 +135,7 @@ def _build_impact(manifest: RunManifest, fmt: str):
     axes = [config.rr_selection], [config.rf_selection], [config.model], [config.population]
     grid = sensitivity_grid(config, inputs, *axes)  # the scenario's one-cell grid
     result = grid[0].result
-    base_path = evaluate_model(  # sensitivity_grid has resolved every id
-        config.model, inputs.populations[config.population],
-        inputs.cost_profiles[config.cost_profile], inputs.ds_profiles[config.ds_scenario],
-        inputs.mortality, inputs.params,
-    )
+    base_path = ExpenditurePath(config.model, config.population, grid.dates, grid.base[0, 0])
 
     files = _impact_table("impact", grid, fmt)
     if fmt == "table":

@@ -174,13 +174,13 @@ def model_weights(
 ) -> np.ndarray:
     """Per-capita weights ``u * cost`` of one model: its one formula.
 
-    ``date`` is one date or a ``(dates, 1)`` column of them. ``costs`` is a
-    cost row or a ``(k, cohorts)`` stack of them. DC also takes the D/S
+    ``date`` is one date or a ``(rows, 1)`` column of them. ``costs`` is a
+    cost row or a ``(rows, cohorts)`` stack of them. DC also takes the D/S
     ratios and the 5-year death probabilities at the base date and at
-    ``date`` (rows or stacks, one row per date of a column); the result
-    broadcasts over every stack. Expenditure at ``date`` is
-    :func:`contract` of the head-counts with each weight row, which also
-    reports a weight that overflowed.
+    ``date`` (rows or stacks). Row r of each stack pairs with row r of the
+    others, so the result has the broadcast shape of the arguments.
+    Expenditure at ``date`` is :func:`contract` of the head-counts with
+    each weight row, which also reports a weight that overflowed.
     """
     u, n = params.utilization, (grid.n_cohorts,)
     if isinstance(u, np.ndarray) and u.shape != n:
@@ -191,8 +191,9 @@ def model_weights(
         if model == "CH":
             mids = np.array(grid.cohort_starts) + COHORT_WIDTH / 2.0
             ages = mids - params.health_improvement_rate * (date - grid.base_date)
-            eff_costs = [np.interp(ages, mids, row) for row in np.atleast_2d(costs)]
-            return u * np.reshape(eff_costs, np.shape(costs)[:-1] + ages.shape)
+            ages, costs = np.broadcast_arrays(ages, costs)
+            rows = zip(ages.reshape(-1, *n), costs.reshape(-1, *n))
+            return u * np.reshape([np.interp(a, mids, c) for a, c in rows], ages.shape)
         if model == "DC":
             s, d = _split_costs(costs, ds, annualized(pd5_base))
             pd1 = annualized(pd5)
@@ -204,14 +205,14 @@ def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarr
     """Expenditure, EUR millions, of head-count columns under weight rows.
 
     ``weights`` broadcasts to ``(..., rows, cohorts)`` and ``counts`` (one
-    column, or a stack of them shaped ``(..., 1, cohorts)``) broadcasts
-    over its leading axes; each row is multiplied by its column and summed
-    along the cohort axis. The product is laid out in C order, so the
-    cohort axis is contiguous and numpy sums every row in the same order
-    whatever the leading shape or the inputs' strides: a value is
-    bit-identical whether it is computed alone or inside a stack. An
-    overflow is reported by the one finiteness check, not by a numpy
-    warning.
+    column, or a stack of them shaped ``(..., 1, cohorts)`` or ``(...,
+    rows, cohorts)``) broadcasts over its leading axes; each row is
+    multiplied by its column and summed along the cohort axis. The product
+    is laid out in C order, so the cohort axis is contiguous and numpy sums
+    every row in the same order whatever the leading shape or the inputs'
+    strides: a value is bit-identical whether it is computed alone or
+    inside a stack. An overflow is reported by the one finiteness check,
+    not by a numpy warning.
     """
     stack = np.broadcast_to(weights, weights.shape[:-2] + (rows, counts.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,15 +13,15 @@ Because both evaluations share model, population and parameters, any
 systematic error nets out and the difference is exactly zero when the
 perturbation is trivial.
 
-There is one evaluation path, :func:`sensitivity_grid`, and it evaluates
-the shock date only; a single scenario (:func:`cri`, :func:`crimi`,
-:func:`criui`) is its one-cell case. Every model is linear in the cost
-profile and in the population, so each value is the contraction of one
-head-count column with one weight row, and the whole grid is one
-contraction of a stack of 1 + RR + RF rows per model (base, shocked,
-rescaled). The grid comes back as a :class:`GridResult`: ``crimi``
-depends only on (model, population, RR) and ``criui`` only on (model,
-population, RF), so it keeps those two arrays plus the axes, and builds
+There is one evaluation path, :func:`sensitivity_grid`; a single
+scenario (:func:`cri`, :func:`crimi`, :func:`criui`) is its one-cell
+case. Every model is linear in the cost profile and in the population,
+so each value is the contraction of one head-count column with one
+weight row, and the whole grid is one contraction of a stack of dates +
+RR + RF rows per model (the base at every date, shocked, rescaled). The
+grid comes back as a :class:`GridResult`: ``crimi`` depends only on
+(model, population, RR) and ``criui`` only on (model, population, RF),
+so it keeps those two arrays, the base path and the axes, and builds
 each cell's :class:`GridRow` on demand.
 """
 
@@ -230,8 +230,9 @@ class GridRow:
 class GridResult(Sequence[GridRow]):
     """A sensitivity grid as columns: its axes, the read-only arrays
     ``crimi[model, pop, rr]`` and ``criui[model, pop, rf]``, the date and
-    the GDP there. As a sequence it yields one :class:`GridRow` per cell
-    in (model, population, RR, RF) order, built when asked for.
+    the GDP there, and the base path ``base[model, pop, date]`` over
+    ``dates`` (none by default). As a sequence it yields one :class:`GridRow`
+    per cell in (model, population, RR, RF) order, built when asked for.
     """
 
     models: tuple[str, ...]
@@ -242,12 +243,17 @@ class GridResult(Sequence[GridRow]):
     gdp: float | None  # EUR millions
     crimi: np.ndarray
     criui: np.ndarray
+    dates: tuple[int, ...] = ()
+    base: np.ndarray | None = None  # EUR millions
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.crimi).all() and np.isfinite(self.criui).all()):
             raise NumericalError("impact components must be finite")
         m, p, r, f = self.shape
-        for name, shape in (("crimi", (m, p, r)), ("criui", (m, p, f))):
+        if self.base is None:
+            object.__setattr__(self, "base", np.empty((m, p, 0)))
+        for name, shape in (("crimi", (m, p, r)), ("criui", (m, p, f)),
+                            ("base", (m, p, len(self.dates)))):
             values = frozen_array(getattr(self, name), shape, name, lo=-math.inf)
             object.__setattr__(self, name, values)
 
@@ -290,16 +296,16 @@ def sensitivity_grid(
     fields come from ``base``. Rows come out in deterministic
     axis-coordinate order (model, population, mortality RR, RF).
 
-    Every input is validated once per grid and only the shock date is
-    evaluated, as one array program. One
-    :func:`~hcimpact.expenditure.model_weights` call per model gives a stack
-    of 1 + RR + RF weight rows: the base row, the shocked row of each RR
-    selector and the rescaled row of each RF-scaled cost row, stacked as
-    ``(models, 1, rows, cohorts)``. The head-counts at the shock date are
-    stacked as ``(pops, 1, cohorts)``, so one
-    :func:`~hcimpact.expenditure.contract` call gives every value as
-    ``(models, pops, rows)``, and ``crimi`` and ``criui`` are one subtraction
-    each. The rescaled value is a real evaluation, not ``(RF - 1) * base``.
+    Every input is validated once per grid, and the grid is one array
+    program. One :func:`~hcimpact.expenditure.model_weights` call per model
+    gives a stack of dates + RR + RF weight rows: the base row at each
+    date, then at the shock date the shocked row of each RR selector and
+    the rescaled row of each RF-scaled cost row, stacked as ``(models, 1,
+    rows, cohorts)``. Each row's head-counts are stacked as ``(pops, rows,
+    cohorts)``, so one :func:`~hcimpact.expenditure.contract` call gives
+    every value as ``(models, pops, rows)``: the base path, and ``crimi``
+    and ``criui`` as one subtraction each of its value at the shock date.
+    The rescaled value is a real evaluation, not ``(RF - 1) * base``.
     """
     for name, axis in (
         ("models", models),
@@ -324,19 +330,21 @@ def sensitivity_grid(
     frozen_array(numeric, numeric.shape, "lower bounds")  # the numeric RR selectors, at once
     shocked = shock_death_probs(mortality, rr, t)
     rfs = [resolve_rf(r, inputs) for r in rf_values]
-    n_rr, pd5 = len(rr_values), mortality.death_prob[:, j]
-    # one row per evaluation: the base, then each RR selector's shock, then each RF
+    n_dates, n_rr, pd = grid.n_dates, len(rr_values), mortality.death_prob
+    # a row per evaluation: the base at each date, then each RR and RF at the shock date
+    cols = np.array([*range(n_dates)] + [j] * (n_rr + len(rfs)))
     with np.errstate(over="ignore"):  # an overflow is contract's finiteness error
-        cost_rows = costs.values * np.array([1.0] * (1 + n_rr) + rfs)[:, None]
-    probs = np.vstack([pd5, shocked, *[pd5] * len(rfs)])
+        cost_rows = costs.values * np.array([1.0] * (n_dates + n_rr) + rfs)[:, None]
+    probs = np.vstack([pd.T, shocked, *[pd[:, j]] * len(rfs)])
     # a shock at the base date also moves DC's survivor/decedent split
-    base_probs = probs if j == 0 else mortality.death_prob[:, 0]
+    base_probs = np.where(cols[:, None] == 0, probs, pd[:, 0])
     params = inputs.params
     gdp = None if params.gdp is None else params.gdp.get(t)
-    weights = np.stack([model_weights(m, grid, t, params, cost_rows, ds.values, base_probs, probs)
+    dates, dc = np.array(grid.dates)[cols, None], (ds.values, base_probs, probs)
+    weights = np.stack([model_weights(m, grid, dates, params, cost_rows, *dc)
                         for m in models])[:, None]  # (models, 1, rows, cohorts)
-    counts = np.stack([pop.counts[:, j] for pop in pops])[:, None]  # (pops, 1, cohorts)
-    values = contract(counts, weights, len(probs))  # (models, pops, rows)
-    value, shocked_values, rescaled_values = np.split(values, [1, 1 + n_rr], axis=-1)
-    return GridResult(tuple(models), tuple(pop_scenarios), tuple(rr_values), tuple(rfs),
-                      t, gdp, shocked_values - value, rescaled_values - value)
+    counts = np.stack([pop.counts.T[cols] for pop in pops])  # (pops, rows, cohorts)
+    values = contract(counts, weights, len(cols))  # (models, pops, rows)
+    impacts = np.split(values[..., n_dates:] - values[..., j, None], [n_rr], -1)
+    return GridResult(tuple(models), tuple(pop_scenarios), tuple(rr_values), tuple(rfs), t, gdp,
+                      *impacts, grid.dates, values[..., :n_dates])

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hcimpact.expenditure
+import hcimpact.impact
 from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
@@ -913,6 +915,44 @@ def test_impact_writes_the_scenario_one_cell_grid(tmp_path, data_dir, capsys, fm
         expected = render_table(list(io.IMPACT_COLUMNS), list(zip(*io.impact_columns(grid))))
         assert (out / "impact.txt").read_text() == expected
     assert f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}\n" in capsys.readouterr().out
+
+
+def test_impact_makes_one_contraction_and_takes_its_base_path_off_the_grid(
+    tmp_path, data_dir, monkeypatch
+):
+    calls = []
+    for module in (hcimpact.impact, hcimpact.expenditure):
+        def spy(*args, _real=module.contract, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "contract", spy)
+    assert run_cli("impact", "--manifest", data_dir / "manifest.txt",
+                   "--out", tmp_path / "out") == 0
+    assert len(calls) == 1
+    assert not hasattr(cli, "evaluate_model")
+
+
+def test_seedless_rerun_that_differs_exits_3_and_writes_nothing(
+    tmp_path, data_dir, capsys, monkeypatch
+):
+    builder, help_text = cli._COMMANDS["impact"]
+    calls = []
+
+    def drifting(*args):
+        files, stdout = builder(*args)
+        calls.append(args)
+        files["impact.csv"] += "\n" * (len(calls) - 1)  # the second call adds a line
+        return files, stdout
+
+    monkeypatch.setitem(cli._COMMANDS, "impact", (drifting, help_text))
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", data_dir / "manifest.txt", "--out", out,
+                   "--seedless") == 3
+    assert len(calls) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: outputs differ between two identical evaluations\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sensitivity_reads_its_cri_range_off_the_grid_without_building_a_row(

@@ -347,6 +347,23 @@ class TestOneContraction:
                 assert public.values[j].tobytes() == value.tobytes(), (pop.scenario, date)
 
 
+    def test_a_date_column_pairs_each_row_with_its_cost_row(self, bundled):
+        """A ``(dates, 1)`` column and a ``(dates, cohorts)`` cost stack give one
+        weight row per date in every model, each the scalar-date call on its row."""
+        grid, dp = bundled.grid, bundled.mortality.death_prob
+        params = ModelParameters(health_improvement_rate=0.7)
+        ds = bundled.ds_profiles["central"].values
+        scale = np.linspace(0.5, 1.5, grid.n_dates)[:, None]
+        costs = bundled.cost_profiles["ARC1"].values * scale  # a different cost row per date
+        column = np.array(grid.dates)[:, None]
+        for model in ("PD", "CH", "DC"):
+            weights = model_weights(model, grid, column, params, costs, ds, dp[:, 0], dp.T)
+            assert weights.shape == (grid.n_dates, grid.n_cohorts), model
+            for j, date in enumerate(grid.dates):
+                row = model_weights(model, grid, date, params, costs[j], ds, dp[:, 0], dp[:, j])
+                assert weights[j].tobytes() == row.tobytes(), (model, date)
+
+
 class TestUtilization:
     @pytest.mark.parametrize("u", [-1.0, float("nan"), np.array([1.0, -1.0])])
     def test_a_bad_multiplier_fails_when_built(self, u):

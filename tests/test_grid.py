@@ -1,6 +1,8 @@
 """Every grid-indexed table stores a checked, read-only copy of its values,
 and every other check of the library's own arguments raises its exact message."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from hcimpact import (
     NumericalError,
     PopulationPath,
     ValidationError,
+    gdp_share_pct,
     io,
     project_population,
 )
+from hcimpact.manifest import require_encodable
 from hcimpact.relative_risk import shock_death_probs
 
 from conftest import grid_of
@@ -115,6 +119,11 @@ ARGUMENT_CHECKS = {
                  ValidationError, "risk vector must be finite and >= 0"),
     "negative_risk": (lambda: shock_death_probs(DEATH_PROBS, [1.0, -1.0, 1.0], 2010),
                       ValidationError, "risk vector must be finite and >= 0"),
+    "subnormal_gdp_share": (lambda: gdp_share_pct(1.0, 1e-320), ValidationError,
+                            "the share of GDP 1e-320 EUR millions is not finite"),
+    "unencodable_file_name": (
+        lambda: require_encodable("a\ud800", "file name 'x'"), ValidationError,
+        f"file name 'x' cannot be encoded in the file-system encoding {sys.getfilesystemencoding()}"),
 }
 
 

@@ -293,6 +293,27 @@ class TestSensitivityGrid:
         assert len(grid) == len(models) * 2 * 3 * 2
         assert calls == {"model_weights": len(models), "contract": 1}
 
+    @pytest.mark.parametrize("shock_date", [2010, 2015, 2060])
+    def test_the_base_path_is_evaluate_model_bit_for_bit(self, data_dir, shock_date):
+        """The grid's base rows are every model's whole path, for every bundled
+        population; at 2010 the shocked rows also split DC's costs at the base date."""
+        manifest = parse_manifest(data_dir / "manifest.txt")
+        inputs = manifest.load_inputs()
+        config = replace(manifest.scenario_config(), shock_date=shock_date)
+        pops = list(inputs.populations)
+        grid = sensitivity_grid(config, inputs, ["lower", "upper"], ["upper"], MODELS, pops)
+        assert grid.dates == inputs.grid.dates
+        assert grid.base.shape == (len(MODELS), len(pops), inputs.grid.n_dates)
+        assert not grid.base.flags.writeable
+        costs = inputs.cost_profiles[config.cost_profile]
+        ds = inputs.ds_profiles[config.ds_scenario]
+        for m, model in enumerate(MODELS):
+            for p, pop in enumerate(pops):
+                path = evaluate_model(model, inputs.populations[pop], costs, ds,
+                                      inputs.mortality, inputs.params)
+                assert np.array_equal(grid.base[m, p].view(np.int64),
+                                      path.values.view(np.int64)), (model, pop)
+
     def test_empty_axis_rejected(self, rng):
         inputs, config = random_inputs(rng)
         with pytest.raises(ValidationError, match="empty sensitivity axis"):
