@@ -23,7 +23,7 @@ from pathlib import Path
 from . import io
 from .errors import NumericalError, ValidationError
 from .expenditure import ExpenditurePath
-from .impact import gdp_share_pct, sensitivity_grid
+from .impact import _resolve, gdp_share_pct, sensitivity_grid
 from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
 from .report import render_result_file, render_table
@@ -68,9 +68,10 @@ def _build_project(manifest: RunManifest, fmt: str):
         raise ValidationError(f"{manifest.source}: project.scenarios and project.birth_rates "
                               "must list the same number of items")
     initial_id = manifest.value("project.initial")
-    if initial_id not in populations:
-        manifest.fail("project.initial", f"unknown initial population scenario {initial_id!r}; "
-                      f"valid ids: {', '.join(sorted(populations))}")
+    try:
+        initial = _resolve(populations, initial_id, "initial population scenario").counts[:, 0]
+    except ValidationError as exc:
+        manifest.fail("project.initial", str(exc))
     horizon = manifest.value("project.horizon")
     try:
         mortality.grid.date_index(mortality.grid.dates[-1] if horizon is None else horizon)
@@ -80,7 +81,6 @@ def _build_project(manifest: RunManifest, fmt: str):
     files: dict[str, str] = {}
     sources: dict[str, str] = {}
     stdout = []
-    initial = populations[initial_id].counts[:, 0]
     for name, rate in zip(names, rates):
         projected = project_population(initial, mortality, BirthRateScenario(name, rate),
                                        horizon=horizon)
@@ -116,9 +116,11 @@ def _impact_inputs(manifest: RunManifest, populations: str, **fixed):
                               ("scenario.cost_profile", "cost profile", inputs.cost_profiles),
                               ("scenario.ds_scenario", "D/S scenario", inputs.ds_profiles)):
         ids = manifest.value(key)
-        for i in [ids] if isinstance(ids, str) else ids:
-            if i not in tables:
-                manifest.fail(key, f"unknown {what} {i!r}; valid ids: {', '.join(sorted(tables))}")
+        try:
+            for i in [ids] if isinstance(ids, str) else ids:
+                _resolve(tables, i, what)
+        except ValidationError as exc:
+            manifest.fail(key, str(exc))
     return inputs, config
 
 
@@ -134,7 +136,6 @@ def _build_impact(manifest: RunManifest, fmt: str):
     inputs, config = _impact_inputs(manifest, "scenario.population")
     axes = [config.rr_selection], [config.rf_selection], [config.model], [config.population]
     grid = sensitivity_grid(config, inputs, *axes)  # the scenario's one-cell grid
-    result = grid[0].result
     base_path = ExpenditurePath(config.model, config.population, grid.dates, grid.base[0, 0])
 
     files = _impact_table("impact", grid, fmt)
@@ -152,9 +153,9 @@ def _build_impact(manifest: RunManifest, fmt: str):
               for key in SCHEMA if key.startswith("scenario.") for v in [manifest.value(key)]]
     stdout += [
         f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}",
-        f"crimi = {_eur(result.crimi, result.gdp)}",
-        f"criui = {_eur(result.criui, result.gdp)}",
-        f"cri = {_eur(result.cri, result.gdp)}",
+        f"crimi = {_eur(grid.crimi.item(), grid.gdp)}",
+        f"criui = {_eur(grid.criui.item(), grid.gdp)}",
+        f"cri = {_eur(grid.cri.item(), grid.gdp)}",
     ]
     return files, stdout
 

@@ -3,7 +3,9 @@ with fixed formatting.
 
 All engine files are plain CSV. Numeric output is fixed at 6 significant
 digits so reruns diff cleanly; every writer here has a matching reader
-and written files re-parse verbatim.
+and written files re-parse verbatim. A text cell that holds a comma, a
+quote, CR or LF is written in quotes with each inner quote doubled, as
+``csv.writer`` quotes it, so an id such as ``Pop,"MV"`` reads back as it is.
 
 Every input file and every result file is read by the same two parsers,
 one ``np.loadtxt`` pass with the ``csv`` row loop as its fallback
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
 from contextlib import contextmanager
 from io import StringIO
@@ -66,7 +67,6 @@ __all__ = [
     "selector_text",
     "IMPACT_COLUMNS",
     "EXPENDITURE_COLUMNS",
-    "POPULATION_COLUMNS",
     "SERIES_COLUMNS",
     "RESULTS",
 ]
@@ -83,8 +83,8 @@ RESULTS: dict[str, dict[str, type]] = {
     "series": {"x": float, "y": float},
 }
 # The header of each result file.
-IMPACT_COLUMNS, EXPENDITURE_COLUMNS, POPULATION_COLUMNS, SERIES_COLUMNS = (
-    tuple(RESULTS[kind]) for kind in ("impact", "expenditure", "population", "series"))
+IMPACT_COLUMNS, EXPENDITURE_COLUMNS, SERIES_COLUMNS = (
+    tuple(RESULTS[kind]) for kind in ("impact", "expenditure", "series"))
 
 
 def fmt_value(x: float) -> str:
@@ -96,16 +96,20 @@ def selector_text(sel: str | float) -> str:
     return sel if isinstance(sel, str) else fmt_value(sel)
 
 
+def _quoted(cell):
+    """A text cell that holds a comma, a quote, CR or LF in quotes, each inner
+    quote doubled, as ``csv.writer`` writes it; any other cell as it is."""
+    if isinstance(cell, str) and any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_text(columns: dict[str, type], rows: Iterable[tuple]) -> str:
     """The header of ``columns``, then a line per row: a float cell as
     :func:`fmt_value` (``"%.6g" % x`` is ``format(float(x), ".6g")``), any
-    other as ``str``."""
+    other as ``str`` of :func:`_quoted`."""
     line = ",".join("%.6g" if kind is float else "%s" for kind in columns.values()) + "\n"
-    return ",".join(columns) + "\n" + "".join(line % row for row in rows)
-
-
-# The largest finite float: ``lo <= v <= _MAX`` is false for nan and both infinities.
-_MAX = sys.float_info.max
+    return ",".join(columns) + "\n" + "".join(line % tuple(map(_quoted, row)) for row in rows)
 
 
 def _fail(path, msg: str, line: int | None = None) -> None:
@@ -429,7 +433,7 @@ def read_population_csv(path) -> Tables[PopulationPath]:
     """Every scenario of a population file, validating coverage: a read-only
     mapping of scenario id to :class:`PopulationPath`, each built on access."""
     return Tables(PopulationPath, *_read_cohort_table(
-        path, "count_thousands", (0.0, _MAX), "negative head-count {}", key="scenario"))
+        path, "count_thousands", (0.0, math.inf), "negative head-count {}", key="scenario"))
 
 
 def load_exogenous_path(name: str, source) -> PopulationPath:
@@ -543,7 +547,7 @@ def read_cost_profiles_csv(path, grid: CohortGrid) -> Tables[CostProfile]:
     """Every profile of a cost file on ``grid``: a read-only mapping of
     profile id to :class:`CostProfile`, each built on access."""
     return Tables(CostProfile, *_read_cohort_table(
-        path, "eur_per_capita", (0.0, _MAX), "negative per-capita cost {}",
+        path, "eur_per_capita", (0.0, math.inf), "negative per-capita cost {}",
         key="profile_id", grid=grid))
 
 
@@ -551,7 +555,7 @@ def read_ds_ratios_csv(path, grid: CohortGrid) -> Tables[DSRatioProfile]:
     """Every scenario of a D/S ratio file on ``grid``: a read-only mapping of
     scenario id to :class:`DSRatioProfile`, each built on access."""
     return Tables(DSRatioProfile, *_read_cohort_table(  # math.ulp(0.0) is the least float > 0
-        path, "ratio", (math.ulp(0.0), _MAX), "D/S ratio must be > 0, got {}",
+        path, "ratio", (math.ulp(0.0), math.inf), "D/S ratio must be > 0, got {}",
         key="scenario", grid=grid))
 
 
@@ -639,7 +643,8 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
         return np.array(_fmt_values(values.tolist(), end), dtype=object)
 
     selectors = list(map(selector_text, rows.rr_values))
-    keys = [f"{m},{p},{r}," for m in rows.models for p in rows.pop_scenarios for r in selectors]
+    pops = list(map(_quoted, rows.pop_scenarios))
+    keys = [f"{m},{p},{r}," for m in rows.models for p in pops for r in selectors]
     pieces = np.empty(rows.shape + (5,), dtype=object)
     pieces[..., 0] = np.array(keys, dtype=object).reshape(crimi_at.shape)
     pieces[..., 1] = texts(rf)[rf_at]

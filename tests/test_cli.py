@@ -986,6 +986,63 @@ def test_sensitivity_reads_its_cri_range_off_the_grid_without_building_a_row(
                              f"({io.fmt_value(r.cri_gdp_pct)}% of GDP)")
 
 
+def test_impact_reads_its_three_lines_off_the_grid_without_building_a_row(
+    tmp_path, data_dir, capsys, monkeypatch
+):
+    grids, rows_built = [], []
+    get_row = GridResult.__getitem__
+
+    def kept_grid(*args):
+        grids.append(sensitivity_grid(*args))
+        return grids[-1]
+
+    def counted_row(self, k):
+        rows_built.append(k)
+        return get_row(self, k)
+
+    monkeypatch.setattr(cli, "sensitivity_grid", kept_grid)
+    monkeypatch.setattr(GridResult, "__getitem__", counted_row)
+    assert run_cli("impact", "--manifest", data_dir / "manifest.txt",
+                   "--out", tmp_path / "out") == 0
+    assert rows_built == []
+    [grid] = grids
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        f"crimi = {cli._eur(grid.crimi.item(), grid.gdp)}",
+        f"criui = {cli._eur(grid.criui.item(), grid.gdp)}",
+        f"cri = {cli._eur(grid.cri.item(), grid.gdp)}",
+    ]
+
+
+def test_an_id_with_a_comma_and_quotes_reads_back_from_every_result_file(tmp_path, data_dir):
+    # Result files quote a text cell that holds a comma or a quote, so report
+    # and the readers take back every file the engine writes.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    population = bundle / "population.csv"
+    population.write_text(population.read_text().replace("PopMV,", '"Pop,""MV""",'))
+    manifest = bundle / "manifest.txt"
+    for key, value in (("scenario.population", 'Pop,"MV"'), ("project.initial", 'Pop,"MV"'),
+                       ("project.scenarios", 'Pop"SV,PopSV-1.3'),
+                       ("sensitivity.populations", "PopLV")):  # list keys split on commas
+        _set_manifest_value(manifest, key, value)
+    out = tmp_path / "out"
+    for command in ("impact", "sensitivity", "project"):
+        assert run_cli(command, "--manifest", manifest, "--out", out / command) == 0
+    files = sorted(out.glob("*/*.csv"))
+    assert len(files) == 5
+    report_manifest = tmp_path / "report_manifest.txt"
+    report_manifest.write_text(f"report.files = {','.join(map(str, files))}\n")
+    assert run_cli("report", "--manifest", report_manifest, "--out", out / "report") == 0
+    assert [r["pop_scenario"] for r in io.read_impact_csv(out / "impact" / "impact.csv")] == [
+        'Pop,"MV"']
+    assert {r[1] for r in io.read_expenditure_csv(out / "impact" / "expenditure.csv")} == {
+        'Pop,"MV"'}
+    projected = io.read_result_rows(out / "project" / 'population_Pop"SV.csv', "population")
+    assert {r[0] for r in projected} == {'Pop"SV'}
+    for table in ("impact_table.txt", "expenditure_table.txt"):
+        assert 'Pop,"MV"' in (out / "report" / table).read_text()
+
+
 def test_readme_key_table_lists_every_known_key():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     groups = "|".join({key.partition(".")[0] for key in KNOWN_KEYS})
@@ -1098,6 +1155,91 @@ def test_every_study_cell_mutation_exits_0_with_finite_numbers_or_2_naming_the_f
             continue
         failures.append((row + 2, columns[column], text, code, std.err))
     assert run + 1 == len(rows) * len(columns) * len(texts) == 252
+    assert failures == []
+
+
+def _line_mutations(lines: list[str]):
+    """``(what, lines)`` for each drop, duplicate and swap with the next line of
+    the first, the last and every ``max(1, n // 5)``-th of the n data lines."""
+    header, rows = lines[0], lines[1:]
+    n = len(rows)
+    for i in sorted({0, n - 1, *range(0, n, max(1, n // 5))}):
+        yield f"drop line {i + 2}", [header, *rows[:i], *rows[i + 1:]]
+        yield f"duplicate line {i + 2}", [header, *rows[:i + 1], *rows[i:]]
+        if i + 1 < n:
+            yield f"swap line {i + 2}", [header, *rows[:i], rows[i + 1], rows[i], *rows[i + 2:]]
+
+
+def _run_strict(command: str, manifest: Path, out: Path, capsys) -> tuple:
+    """A run in process with warnings as errors: its exit code, stdout,
+    stderr and ``{name: bytes}`` of what it wrote, or None for no ``out``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(command, "--manifest", manifest, "--out", out)
+    std = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))} if out.exists() else None
+    return code, std.out, std.err, files
+
+
+def _exits_2_naming(name: str, run: tuple) -> bool:
+    """Whether ``run`` exited 2 with one stderr line, an ``error:`` naming ``name``,
+    and wrote nothing."""
+    code, _, err, files = run
+    return code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ") and (
+        name in err) and files is None
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA_DIR.glob("*.csv")))
+def test_every_line_mutation_of_a_data_file_exits_0_with_finite_numbers_or_2_naming_it(
+    tmp_path, data_dir, capsys, name
+):
+    # A line of a bundled file is dropped, duplicated or swapped with the next.
+    # A run prints and writes only finite numbers, or one error line that names
+    # the file and writes nothing; a swap changes no output byte, as no input
+    # table depends on the order of its rows.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest, target = bundle / "manifest.txt", bundle / name
+    lines = target.read_text().splitlines()
+    commands = ["impact", "sensitivity"] + ["project"] * (name in ("population.csv",
+                                                                  "mortality.csv"))
+    reference = {c: _run_strict(c, manifest, tmp_path / f"reference_{c}", capsys)
+                 for c in commands}
+    assert all(run[0] == 0 for run in reference.values())
+    failures, runs = [], 0
+    for what, mutated in _line_mutations(lines):
+        target.write_text("\n".join(mutated) + "\n")
+        for command in commands:
+            runs += 1
+            run = _run_strict(command, manifest, tmp_path / f"out{runs}", capsys)
+            code, stdout, _, files = run
+            written = stdout + "".join(f.decode() for f in (files or {}).values())
+            if what.startswith("swap") and run == reference[command]:
+                continue
+            if not what.startswith("swap") and (
+                    code == 0 and all(map(math.isfinite, _numbers(written)))
+                    or _exits_2_naming(name, run)):
+                continue
+            failures.append((what, command, code, run[2]))
+    assert runs >= 3 * len(commands)
+    assert failures == []
+
+
+def test_every_line_mutation_of_a_golden_result_file_renders_or_exits_2_naming_it(
+    tmp_path, capsys
+):
+    # report only reads its files: a mutated one renders, or fails naming the file.
+    manifest = tmp_path / "report_manifest.txt"
+    failures, runs = [], 0
+    for golden in sorted(_GOLDEN_CLI.rglob("*.csv")):
+        manifest.write_text(f"report.files = {golden.name}\n")
+        for what, mutated in _line_mutations(golden.read_text().splitlines()):
+            (tmp_path / golden.name).write_text("\n".join(mutated) + "\n")
+            runs += 1
+            run = _run_strict("report", manifest, tmp_path / f"out{runs}", capsys)
+            if run[0] != 0 and not _exits_2_naming(golden.name, run):
+                failures.append((golden.name, what, run[0], run[2]))
+    assert runs >= 70
     assert failures == []
 
 

@@ -17,6 +17,7 @@ from hcimpact import (
     CostProfile,
     DSRatioProfile,
     ExpenditurePath,
+    GridResult,
     GridRow,
     ImpactResult,
     LaborMarketState,
@@ -268,6 +269,20 @@ class TestResultFiles:
         out.write_text(io._csv_text(io.RESULTS[kind], [row, row]))
         assert out.read_text().splitlines()[0] == ",".join(io.RESULTS[kind])
         assert io.read_result_rows(out, kind) == [row, row]
+
+    @pytest.mark.parametrize("text", ['Pop,"MV"', '"', "a,b", "a\nb", "a\rb", "a\r\nb"])
+    def test_a_text_cell_with_a_comma_quote_or_line_end_reads_back_as_written(self, tmp_path, text):
+        # Such a cell is quoted as csv.writer quotes it, on the grid's render and row by row.
+        grid = grid_of(2, 1)
+        cells = GridResult(("DC",), (text,), ("upper",), (1.5,), 2010, 1e6,
+                           np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+        assert io.impact_csv_text(cells) == io.impact_csv_text(list(cells))
+        io.write_impact_csv(cells, tmp_path / "i.csv")
+        io.write_expenditure_csv([ExpenditurePath("DC", text, grid.dates, [1.0])], tmp_path / "e.csv")
+        io.write_population_csv([PopulationPath(text, grid, [[1.0], [2.0]])], tmp_path / "p.csv")
+        assert [row["pop_scenario"] for row in io.read_impact_csv(tmp_path / "i.csv")] == [text]
+        assert io.read_expenditure_csv(tmp_path / "e.csv") == [("DC", text, 2010, 1.0)]
+        assert list(io.read_population_csv(tmp_path / "p.csv")) == [text]
 
     @given(xs=st.lists(st.floats(), max_size=20))
     @settings(max_examples=200, deadline=None)
