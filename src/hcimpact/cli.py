@@ -39,6 +39,10 @@ def _eur(value: float, gdp: float | None) -> str:
     return f"{io.fmt_value(value)} EUR millions ({io.fmt_value(gdp_share_pct(value, gdp))}% of GDP)"
 
 
+#: The control characters (Unicode category Cc), which no output name holds.
+_CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
+
+
 # ------------------------------------------------------------------ builders
 # Each builder returns ({relative filename: content}, stdout lines) without
 # touching the filesystem, so runs are comparable and writes happen last.
@@ -46,11 +50,12 @@ def _eur(value: float, gdp: float | None) -> str:
 def _add_output(files, sources, name: str, content: str, source: str) -> None:
     """Add one output file named from ``source``, a manifest key or an input file.
 
-    A name that is not a plain file name, that the file-system encoding
+    A name that is not a plain file name (it holds a path separator or a
+    control character such as a line end), that the file-system encoding
     cannot represent, or that an earlier output took (``sources`` maps each
     taken name to its source), is rejected.
     """
-    if Path(name).name != name or "\0" in name:
+    if Path(name).name != name or not _CONTROL.isdisjoint(name):
         raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
     require_encodable(name, f"{source}: output name {name!r}")
     if name in sources:

@@ -196,14 +196,17 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
     value, lo, hi = columns[value_column], columns["cohort_lo"], columns["cohort_hi"]
     n = len(value)
     table = columns[key] if key else np.zeros(n, np.intp)
-    date = columns["date"] if dated else np.zeros(n, np.int64)
-    starts = _distinct(lo) if dated else np.array(grid.cohort_starts)
-    dates = _distinct(date)
+    date = columns.get("date")
+    # An undated table is one date wide: its cell is its table and cohort.
+    starts, dates = (_distinct(lo), _distinct(date)) if dated else (
+        np.array(grid.cohort_starts), (None,))
     cohort = np.searchsorted(starts, lo)
     size = len(ids) * len(starts) * len(dates)
     if size >= 2**63:  # past int64, once the ids, cohorts and dates each pass 2**21
         table = table.astype(object)
-    cell = (table * len(starts) + cohort) * len(dates) + np.searchsorted(dates, date)
+    cell = table * len(starts) + cohort
+    if dated:
+        cell = cell * len(dates) + np.searchsorted(dates, date)
     order = np.argsort(cell, kind="stable")  # a repeat of a cell after the row it repeats
     ordered = cell[order]
     low, high = bounds
@@ -214,7 +217,7 @@ def _read_cohort_table(path, value_column, bounds, problem, key=None, grid=None,
         return f"duplicate cell for {owner}cohort {lo[row]}{when}"
 
     _check(path, n, line, stop, [
-        (_first(table == (ids.index("") if "" in ids else -1)), lambda row: f"empty {what} id"),
+        (_first(table == ids.index("")) if "" in ids else n, lambda row: f"empty {what} id"),
         *_parsed(columns, bad, required[bool(key):-1]),  # the date and the cohort bounds
         (_first((hi - lo != COHORT_WIDTH - 1) | (hi < lo)),  # hi < lo: an int32 wrap to 4
          lambda row: f"cohort [{lo[row]}, {hi[row]}] is not a {COHORT_WIDTH}-year bin"),
@@ -320,12 +323,14 @@ def _read_cohort_blocks(path, dtypes, key, optional):
     through a decompressor, and keeps the numbers of the empty lines, which
     loadtxt and ``csv`` skip. One loadtxt of the path (of the lines, up to
     :data:`_IN_MEMORY_BYTES`) then reads each column as its dtype in
-    ``dtypes`` and ``key`` as latin-1 bytes, as wide as the widest line
-    leaves room for. It takes a strict subset of what ``int`` and ``float``
-    take; any other cell, an integer past its dtype, an id outside latin-1
-    or another row width returns None. The ids become table numbers. The
-    file is opened twice, for the scan and by numpy, and is taken not to
-    change in between.
+    ``dtypes`` and ``key`` as zero-padded latin-1 bytes, in as many whole
+    8-byte words as the widest line leaves room for. It takes a strict
+    subset of what ``int`` and ``float`` take; any other cell, an integer
+    past its dtype, an id outside latin-1 or another row width returns
+    None. A run of one id starts where a word of its cell differs from the
+    row before; each run's stripped id takes its table number once, and one
+    ``np.repeat`` spreads it over the run. The file is opened twice, for the
+    scan and by numpy, and is taken not to change in between.
     """
     try:
         with open(path, "rb") as fh:
@@ -350,7 +355,8 @@ def _read_cohort_blocks(path, dtypes, key, optional):
     id_width = widths.max() - sum(1 + (dtypes[c] is not object) for c in header if c != key)
     source = str(path) if len(raw) > _IN_MEMORY_BYTES else raw.decode("utf-8-sig").split("\n")
     del raw, ends, widths  # before the parse, which holds every row at once
-    dtype = np.dtype([(c, f"S{max(id_width, 1)}" if c == key else dtypes[c]) for c in header])
+    words = -(-max(id_width, 1) // 8)  # the id cell in whole 8-byte words
+    dtype = np.dtype([(c, f"S{8 * words}" if c == key else dtypes[c]) for c in header])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -362,11 +368,14 @@ def _read_cohort_blocks(path, dtypes, key, optional):
     columns = {c: np.array([t.strip() for t in rows[c].tolist()], object)
                if dtypes[c] is object else rows[c].copy() for c in header if c != key}
     if key:  # each run of one id cell takes its table number at once
-        cells = rows[key]
-        run = np.append(True, cells[1:] != cells[:-1])  # the first row of each run
+        cells = rows[key].view((np.uint64, words))  # the zero-padded ids as words
+        run = np.append(True, cells[1:, 0] != cells[:-1, 0])  # the first row of each run
+        for k in range(1, words):
+            run[1:] |= cells[1:, k] != cells[:-1, k]
+        start = np.flatnonzero(run)
         numbers = [tables.setdefault(i.decode("latin-1").strip(), len(tables))
-                   for i in cells[run].tolist()]
-        columns[key] = np.array(numbers, np.intp)[np.cumsum(run) - 1]
+                   for i in rows[key][start].tolist()]
+        columns[key] = np.repeat(np.array(numbers, np.intp), np.diff(start, append=len(run)))
     # A row's line: 2, plus the rows and the empty lines before it.
     return list(tables), columns, lambda row: 2 + row + int(np.searchsorted(before, row, "right"))
 

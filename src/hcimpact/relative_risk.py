@@ -337,19 +337,20 @@ def build_rr_envelope(
     diluted = records.diluted
     cohort = np.arange(grid.n_cohorts)[:, None]
     covering = (first <= cohort) & (cohort < last)  # (cohorts, records)
-    rr = np.where(diluted[:, None], records.rr, _dilute(records.rr, w))
-    lower, upper = (np.broadcast_to(bound, covering.shape) for bound in rr.T)
+    lower, upper = np.where(diluted[:, None], records.rr, _dilute(records.rr, w)).T
+    # A bound outside a cohort's records stands as the identity of the
+    # reduction, -inf for a max and inf for a min, which no record bound is.
 
     def intersection(mask):  # max of lowers, min of uppers over each cohort's records
-        return (np.max(lower, axis=1, initial=-np.inf, where=mask),
-                np.min(upper, axis=1, initial=np.inf, where=mask))
+        return (np.where(mask, lower, -np.inf).max(axis=1),
+                np.where(mask, upper, np.inf).min(axis=1))
 
     lo, hi = intersection(covering)
     disjoint = lo > hi  # disjoint source intervals
     uncovered = ~covering.any(axis=1)
     if policy == "hull":
-        lo = np.where(disjoint, np.min(lower, axis=1, initial=np.inf, where=covering), lo)
-        hi = np.where(disjoint, np.max(upper, axis=1, initial=-np.inf, where=covering), hi)
+        lo = np.where(disjoint, np.where(covering, lower, np.inf).min(axis=1), lo)
+        hi = np.where(disjoint, np.where(covering, upper, -np.inf).max(axis=1), hi)
         failed = uncovered
     else:
         pop_level = covering & diluted

@@ -17,6 +17,7 @@ import hcimpact.expenditure
 import hcimpact.impact
 from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
+from hcimpact.expenditure import ExpenditurePath
 from hcimpact.manifest import KNOWN_KEYS, parse_manifest
 from hcimpact.report import render_result_file, render_table, sniff_schema
 
@@ -1041,6 +1042,43 @@ def test_an_id_with_a_comma_and_quotes_reads_back_from_every_result_file(tmp_pat
     assert {r[0] for r in projected} == {'Pop"SV'}
     for table in ("impact_table.txt", "expenditure_table.txt"):
         assert 'Pop,"MV"' in (out / "report" / table).read_text()
+
+
+@pytest.mark.parametrize("scenario", ["a\nb", "a\rb", "a\tb", "a\x7fb"])
+def test_report_refuses_a_series_name_with_a_control_character(tmp_path, capsys, scenario):
+    # The scenario id reads back from its quoted cell and names a series file.
+    expenditure = tmp_path / "expenditure.csv"
+    io.write_expenditure_csv([ExpenditurePath("DC", scenario, (2010, 2015), [1.0, 2.0])],
+                             expenditure)
+    manifest = tmp_path / "report_manifest.txt"
+    manifest.write_text(f"report.files = {expenditure}\n")
+    out = tmp_path / "rep"
+    assert run_cli("report", "--manifest", manifest, "--out", out) == 2
+    name = f"expenditure_series_DC_{scenario}.csv"
+    assert capsys.readouterr().err == (
+        f"error: {expenditure}: output name {name!r} is not a plain file name\n")
+    assert not out.exists()
+
+
+_DATA_KEYS = [key.removeprefix("data.") for key in KNOWN_KEYS if key.startswith("data.")]
+
+
+@pytest.mark.parametrize("command, key", [
+    *(("impact", key) for key in _DATA_KEYS),
+    ("project", "population"), ("project", "mortality"),
+])
+def test_a_data_file_replaced_by_a_directory_exits_2_with_one_io_error(
+        tmp_path, data_dir, capsys, command, key):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    path = bundle / parse_manifest(manifest).values[f"data.{key}"]
+    path.unlink()
+    path.mkdir()
+    out = tmp_path / "out"
+    assert run_cli(command, "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: {str(path)!r}\n"
+    assert not out.exists()
 
 
 def test_readme_key_table_lists_every_known_key():

@@ -814,6 +814,44 @@ def _row_loop_not_used(*args, **kwargs):
     raise AssertionError("the row loop read a regular file")
 
 
+def _two_cohorts(*ids: str, date: str = "2010") -> str:
+    """Population rows: each id's run of the cohorts 0-4 and 5-9 at ``date``."""
+    return "".join(f"{i},{date},{lo},{lo + 4},{lo + 1}\n" for i in ids for lo in (0, 5))
+
+
+# Regular files whose id runs the columnar pass finds by comparing ids as
+# 8-byte words: ids that end at or next to a word boundary, ids that differ
+# only past their first word, and runs that are one table only once the
+# ids are stripped, or that come back after another id's.
+_WORD_FILES = {
+    "7 to 17 characters": ("population", _two_cohorts(*(c * k for c, k in zip(
+        "ABCDE", (7, 8, 9, 16, 17))))),
+    "7 characters in one word": ("population", _two_cohorts("ABCDEFG", "ABCDEFH", date="5")),
+    "equal first words": ("population", _two_cohorts("ABCDEFGH1", "ABCDEFGH2", "ABCDEFGH")),
+    "equal first two words": ("population", _two_cohorts(
+        "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQ", "ABCDEFGHIJKLMNOQ")),
+    "a trailing space": ("population", "X,2010,0,4,1\nX ,2010,5,9,2\n"),
+    "trailing spaces across a word": ("population", "ABCDEFGH,2010,0,4,1\nABCDEFGH ,2010,5,9,2\n"
+                                      "ABCDEFGH  ,2010,10,14,3\n"),
+    "a run that comes back": ("population", _two_cohorts("A", "BB") + _two_cohorts(
+        "A", "BB", date="2015")),
+    "runs that come back": ("cost_profiles", "LONGPROFILE1,0,4,1\nLONGPROFILE2,0,4,2\n"
+                            "LONGPROFILE1,5,9,3\nLONGPROFILE2,5,9,4\nLONGPROFILE1,10,14,5\n"
+                            "LONGPROFILE2,10,14,6\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORD_FILES))
+def test_columnar_pass_reads_id_runs_across_word_boundaries(tmp_path, monkeypatch, name):
+    kind, rows = _WORD_FILES[name]
+    f = tmp_path / "table.csv"
+    f.write_text(f"{_EDGE_HEADERS[kind]}\n{rows}")
+    monkeypatch.setattr(io, "_read_cohort_rows", _row_loop_not_used)
+    reader, reference = _COHORT_FILES[kind][:2]
+    assert not isinstance(_outcome(reader, f), str)
+    _assert_same_outcome(reader, reference, f)
+
+
 def test_columnar_pass_serves_regular_files(tmp_path, monkeypatch, data_dir):
     spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "benchmarks" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
@@ -1153,6 +1191,8 @@ _FILES_BY_NAME = {
     **{f"{label} {kind} {i}": (kind, f"{_EDGE_HEADERS[kind]}\n{rows}".encode())
        for label, files in (("edge", _EDGE_FILES), ("split", _SPLIT_FILES))
        for kind, texts in files.items() for i, rows in enumerate(texts)},
+    **{f"word {name}": (kind, f"{_EDGE_HEADERS[kind]}\n{rows}".encode())
+       for name, (kind, rows) in _WORD_FILES.items()},
     **{f"parser {name}": (kind, (f"{_POPULATION_HEADER}\n{text}" if kind == "population"
                                  else text).encode())
        for name, (kind, text) in _PARSER_EDGE_FILES.items()},

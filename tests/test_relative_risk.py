@@ -320,6 +320,53 @@ def test_envelope_of_a_list_equals_the_envelope_of_its_columns(records, w, polic
     assert outcomes == [want, want]
 
 
+# The envelope against ``_reference_envelope``, bit for bit, on record sets
+# long enough for numpy's vectorized reductions: up to 63 records over up to
+# 12 cohorts.
+# Bounds come from a few values, so that records tie, and from any float in
+# [0, 4]; a zero bound is +0.0 only, since which zero a max or min of -0.0
+# and +0.0 returns depends on the order it reduces in.
+_BOUND = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 1.25, 2.0)), st.floats(0.0, 4.0))
+
+
+def _record_rows(ages, max_size):  # a row: start age, age span, two bounds, diluted
+    return st.lists(st.tuples(*ages, _BOUND, _BOUND, st.booleans()), max_size=max_size)
+
+
+def _record_columns(rows) -> StudyRecords:
+    return StudyRecords([a for a, *_ in rows], [a + span for a, span, *_ in rows],
+                        [sorted(r[2:4]) for r in rows], [r[4] for r in rows], [""] * len(rows))
+
+
+# Up to 3 records that cover every cohort, so that most sets cover the grid
+# and reach the intersection and the policy, then up to 60 of any ages.
+_RECORDS = st.tuples(_record_rows((st.just(-5), st.just(100)), 3),
+                     _record_rows((st.integers(-5, 55), st.integers(0, 99)), 60)).map(
+    lambda rows: rows[0] + rows[1]).filter(len).map(_record_columns)
+
+
+@given(records=_RECORDS, w=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       policy=st.sampled_from(("population_level", "hull")), n_cohorts=st.integers(1, 12))
+@example(records=StudyRecords([0], [4], [(1.0, 1.5)], [True], [""]), w=0.1,
+         policy="hull", n_cohorts=2)  # no record covers cohort 5-9
+@example(records=StudyRecords([0, 0], [9, 9], [(1.0, 1.5), (2.0, 2.5)], [False, False], ["", ""]),
+         w=1.0, policy="population_level", n_cohorts=2)  # no population-level record
+@example(records=StudyRecords([0, 0], [9, 9], [(1.0, 1.5), (2.0, 2.5)], [True, True], ["", ""]),
+         w=0.1, policy="population_level", n_cohorts=2)  # population-level records disagree
+def test_envelope_equals_a_loop_over_cohorts_bit_for_bit(records, w, policy, n_cohorts):
+    args = LaborMarketState(w), grid_of(n_cohorts, 1), policy
+    try:
+        want = [bound.view(np.int64).tolist() for bound in _reference_envelope(list(records), *args)]
+    except ValidationError as exc:
+        want = str(exc)
+    try:
+        table = build_rr_envelope(records, *args)
+        got = [table.lower.view(np.int64).tolist(), table.upper.view(np.int64).tolist()]
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == want
+
+
 def test_study_records_reject_a_bad_row_with_its_record_error():
     good = StudyRecord(0, 9, 1.0, 1.1, diluted=True)
     with pytest.raises(ValidationError, match="^record age range is inverted$"):
