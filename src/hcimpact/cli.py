@@ -26,7 +26,7 @@ from .expenditure import ExpenditurePath
 from .impact import _resolve, gdp_share_pct, sensitivity_grid
 from .manifest import SCHEMA, RunManifest, parse_manifest, require_encodable
 from .population import BirthRateScenario, project_population
-from .report import render_result_file, render_table
+from .report import CONTROL, render_result_file, render_table
 
 __all__ = ["console_main", "main"]
 
@@ -37,10 +37,6 @@ EXIT_NUMERICAL = 3
 
 def _eur(value: float, gdp: float | None) -> str:
     return f"{io.fmt_value(value)} EUR millions ({io.fmt_value(gdp_share_pct(value, gdp))}% of GDP)"
-
-
-#: The control characters (Unicode category Cc), which no output name holds.
-_CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
 
 
 # ------------------------------------------------------------------ builders
@@ -55,7 +51,7 @@ def _add_output(files, sources, name: str, content: str, source: str) -> None:
     cannot represent, or that an earlier output took (``sources`` maps each
     taken name to its source), is rejected.
     """
-    if Path(name).name != name or not _CONTROL.isdisjoint(name):
+    if Path(name).name != name or not CONTROL.keys().isdisjoint(name):
         raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
     require_encodable(name, f"{source}: output name {name!r}")
     if name in sources:
@@ -72,16 +68,11 @@ def _build_project(manifest: RunManifest, fmt: str):
     if len(names) != len(rates):
         raise ValidationError(f"{manifest.source}: project.scenarios and project.birth_rates "
                               "must list the same number of items")
-    initial_id = manifest.value("project.initial")
-    try:
-        initial = _resolve(populations, initial_id, "initial population scenario").counts[:, 0]
-    except ValidationError as exc:
-        manifest.fail("project.initial", str(exc))
-    horizon = manifest.value("project.horizon")
-    try:
-        mortality.grid.date_index(mortality.grid.dates[-1] if horizon is None else horizon)
-    except ValidationError as exc:
-        manifest.fail("project.horizon", str(exc))
+    initial = manifest.value("project.initial", lambda name: _resolve(
+        populations, name, "initial population scenario").counts[:, 0])
+    dates = mortality.grid.dates  # the horizon defaults to the last one
+    horizon = manifest.value("project.horizon", lambda date: dates[
+        mortality.grid.date_index(dates[-1] if date is None else date)])
 
     files: dict[str, str] = {}
     sources: dict[str, str] = {}
@@ -113,19 +104,12 @@ def _impact_inputs(manifest: RunManifest, populations: str, **fixed):
     if config.shock_date not in inputs.params.gdp:
         manifest.fail("scenario.shock_date", f"{manifest.file('data.gdp')}: GDP path does not "
                       f"cover the shock date {config.shock_date}")
-    try:
-        inputs.grid.date_index(config.shock_date)
-    except ValidationError as exc:
-        manifest.fail("scenario.shock_date", str(exc))
+    manifest.value("scenario.shock_date", inputs.grid.date_index)
     for key, what, tables in ((populations, "population scenario", inputs.populations),
                               ("scenario.cost_profile", "cost profile", inputs.cost_profiles),
                               ("scenario.ds_scenario", "D/S scenario", inputs.ds_profiles)):
-        ids = manifest.value(key)
-        try:
-            for i in [ids] if isinstance(ids, str) else ids:
-                _resolve(tables, i, what)
-        except ValidationError as exc:
-            manifest.fail(key, str(exc))
+        manifest.value(key, lambda ids: [
+            _resolve(tables, i, what) for i in ([ids] if isinstance(ids, str) else ids)])
     return inputs, config
 
 

@@ -148,40 +148,38 @@ class RunManifest:
     def fail(self, key: str, problem: str) -> NoReturn:
         raise ValidationError(f"{self.source}: key {key!r}: {problem}") from None
 
-    def value(self, key: str):
-        """The value of ``key`` parsed by its :data:`SCHEMA` entry, or its default."""
+    def value(self, key: str, check=None):
+        """The value of ``key`` parsed by its :data:`SCHEMA` entry, or its
+        default, passed through ``check`` if given, which returns the value
+        to use; a ``ValidationError`` of either names the key."""
         parse, default = SCHEMA[key]
-        if key in self.values:
-            try:
-                return parse(self.values[key])
-            except ValidationError as exc:
-                self.fail(key, str(exc))
-        if default is _REQUIRED:
+        if key not in self.values and default is _REQUIRED:
             raise ValidationError(f"{self.source}: manifest is missing key {key!r}")
-        return default
+        try:
+            value = parse(self.values[key]) if key in self.values else default
+            return value if check is None else check(value)
+        except ValidationError as exc:
+            self.fail(key, str(exc))
 
     def get_list(self, key: str) -> list[str]:
         """The items listed under ``key``, as raw strings (parsed by :meth:`value` first)."""
         self.value(key)
         return _items(self.values[key])
 
-    def _path(self, key: str, name: str) -> Path:
-        """``name``, a file named under ``key``, resolved against the manifest;
-        a name the file-system encoding cannot represent is an input error."""
+    def _path(self, name: str) -> Path:
+        """``name``, a file named in the manifest, resolved against it; a name
+        the file-system encoding cannot represent is an input error."""
         path = self.source.parent / name
-        try:
-            require_encodable(path, f"file name {name!r}")
-        except ValidationError as exc:
-            self.fail(key, str(exc))
+        require_encodable(path, f"file name {name!r}")
         return path
 
     def file(self, key: str) -> Path:
         """The file named under ``key``, resolved against the manifest."""
-        return self._path(key, self.value(key))
+        return self.value(key, self._path)
 
     def paths(self, key: str) -> list[Path]:
         """The files listed under ``key``; relative ones resolve against the manifest."""
-        return [self._path(key, item) for item in self.value(key)]
+        return self.value(key, lambda names: list(map(self._path, names)))
 
     def scenario_config(self, **fixed) -> ScenarioConfig:
         """The config of the ``scenario.*`` keys; the fields in ``fixed`` take

@@ -12,7 +12,12 @@ import csv
 from . import io
 from .errors import ValidationError
 
-__all__ = ["render_table", "sniff_schema", "render_result_file"]
+__all__ = ["CONTROL", "render_table", "sniff_schema", "render_result_file"]
+
+#: The control characters (Unicode category Cc), each with its ``repr`` escape:
+#: no output name holds one, and a table shows one escaped, so a row keeps to its line.
+CONTROL = {c: repr(c)[1:-1] for c in map(chr, (*range(0x20), *range(0x7F, 0xA0)))}
+_ESCAPES = str.maketrans(CONTROL)
 
 _SCHEMAS = {",".join(columns): kind for kind, columns in io.RESULTS.items()}  # header: kind
 
@@ -20,13 +25,14 @@ _SCHEMAS = {",".join(columns): kind for kind, columns in io.RESULTS.items()}  # 
 def _cell(value) -> tuple[str, bool]:
     """A table cell's text and whether it is right-aligned: a number at 1
     decimal, right; an integer verbatim, right unless it is a bool; a text
-    verbatim, right if ``float`` reads it."""
+    with its control characters escaped, right if ``float`` reads it."""
     if isinstance(value, str):
+        text = value.translate(_ESCAPES)
         try:
             float(value)
         except ValueError:
-            return value, False
-        return value, True
+            return text, False
+        return text, True
     if isinstance(value, int):
         return str(value), not isinstance(value, bool)
     return f"{float(value):.1f}", True

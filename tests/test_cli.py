@@ -18,7 +18,8 @@ import hcimpact.impact
 from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensitivity_grid
 from hcimpact.cli import main
 from hcimpact.expenditure import ExpenditurePath
-from hcimpact.manifest import KNOWN_KEYS, parse_manifest
+from hcimpact.errors import ValidationError
+from hcimpact.manifest import KNOWN_KEYS, SCHEMA, parse_manifest
 from hcimpact.report import render_result_file, render_table, sniff_schema
 
 from conftest import DATA_DIR, REPO_ROOT, overflowing_bundle
@@ -1462,3 +1463,83 @@ def test_sensitivity_reads_neither_scenario_population_nor_scenario_model(
     assert run_cli("impact", "--manifest", manifest, "--out", tmp_path / "impact") == 2
     assert capsys.readouterr().err == f"error: {manifest}: manifest is missing key {removed[0]!r}\n"
     assert not (tmp_path / "impact").exists()
+
+
+@pytest.mark.parametrize("control", ["\n", "\r", "\t", "\x1b"], ids=["LF", "CR", "tab", "ESC"])
+def test_report_escapes_a_control_character_so_a_table_row_keeps_to_its_line(
+    tmp_path, capsys, control
+):
+    # The population id reads back from its quoted cell into an aligned table.
+    impact = tmp_path / "impact.csv"
+    text = (_GOLDEN_CLI / "impact" / "impact.csv").read_text(encoding="utf-8")
+    impact.write_text(text.replace("PopMV", f'"a{control}b"'), encoding="utf-8")
+    manifest = tmp_path / "report_manifest.txt"
+    manifest.write_text("report.files = impact.csv\n", encoding="utf-8")
+    out = tmp_path / "rep"
+    assert run_cli("report", "--manifest", manifest, "--out", out) == 0
+    header, rule, row, end = (out / "impact_table.txt").read_bytes().decode("utf-8").split("\n")
+    assert end == ""
+    assert row.index(f"a{repr(control)[1:-1]}b") == header.index("pop_scenario")
+    assert all(row[m.start():m.end()] == "  " for m in re.finditer("  ", rule))
+
+
+# Each key's value in turn; a number, a list and a text of each kind the parsers take.
+_MANIFEST_TEXTS = ("", "Nope", "-1", "0", "1e308", "nan", "2012", "PopMV,PopMV", "upper,1.05",
+                   "\u00e9")
+# The runs whose expenditure overflows at 1e308: the message names no key, as the
+# overflow can also come from the data files.
+_UNNAMED_OVERFLOWS = {("impact", "scenario.rf_selection"), ("impact", "params.utilization"),
+                      ("sensitivity", "params.utilization"), ("sensitivity", "sensitivity.rf_values")}
+
+
+def _commands_reading(key: str) -> tuple[str, ...]:
+    """The subcommands that read ``key``: ``project`` reads only two data files."""
+    if key in ("data.population", "data.mortality"):
+        return "project", "impact", "sensitivity"
+    return {"project": ("project",), "sensitivity": ("sensitivity",)}.get(
+        key.partition(".")[0], ("impact", "sensitivity"))
+
+
+def test_every_manifest_value_exits_0_with_finite_numbers_or_2_naming_its_key(
+    tmp_path, data_dir, capsys
+):
+    # Every key a subcommand reads is set to each text, under each subcommand
+    # that reads it. A run prints and writes only finite numbers, or prints one
+    # error line and writes nothing. A text the key's parser refuses is named
+    # by the key; any other error names the manifest or a file of the bundle,
+    # except the known overflows at 1e308.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    original = manifest.read_text(encoding="utf-8")
+    failures, runs = [], 0
+    for key in sorted(KNOWN_KEYS - {"report.files"}):
+        for text in _MANIFEST_TEXTS:
+            changed, n = re.subn(rf"(?m)^{re.escape(key)} = .*$", lambda _: f"{key} = {text}",
+                                 original)
+            assert n == 1, key
+            manifest.write_text(changed, encoding="utf-8")
+            try:
+                SCHEMA[key][0](text)
+                refused = None
+            except ValidationError as exc:
+                refused = f"error: {manifest}: key {key!r}: {exc}\n"
+            for command in _commands_reading(key):
+                runs += 1
+                run = code, stdout, err, files = _run_strict(
+                    command, manifest, tmp_path / f"out{runs}", capsys)
+                written = stdout + "".join(f.decode("utf-8") for f in (files or {}).values())
+                if code == 0 and err == "" and all(map(math.isfinite, _numbers(written))):
+                    continue
+                if not _exits_2_naming("", run):
+                    failures.append((key, text, command, code, err))
+                elif refused is not None:
+                    if err != refused:
+                        failures.append((key, text, command, code, err))
+                elif (command, key) in _UNNAMED_OVERFLOWS and text == "1e308":
+                    if err != "error: expenditure must be finite at every date\n":
+                        failures.append((key, text, command, code, err))
+                elif not err.startswith((f"error: {manifest}: ", f"error: {bundle}{os.sep}")):
+                    failures.append((key, text, command, code, err))
+    assert runs == 500
+    assert failures == []

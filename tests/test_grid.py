@@ -2,6 +2,7 @@
 and every other check of the library's own arguments raises its exact message."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hcimpact import (
     io,
     project_population,
 )
-from hcimpact.manifest import require_encodable
+from hcimpact.manifest import RunManifest, require_encodable
 from hcimpact.relative_risk import shock_death_probs
 
 from conftest import grid_of
@@ -124,6 +125,18 @@ ARGUMENT_CHECKS = {
     "unencodable_file_name": (
         lambda: require_encodable("a\ud800", "file name 'x'"), ValidationError,
         f"file name 'x' cannot be encoded in the file-system encoding {sys.getfilesystemencoding()}"),
+    # a lone surrogate, outside every file-system encoding, in a name under a manifest key
+    "unencodable_manifest_file": (
+        lambda: RunManifest(Path("d", "manifest.txt"), {"data.gdp": "gdp\ud800.csv"}).file(
+            "data.gdp"), ValidationError,
+        f"{Path('d', 'manifest.txt')}: key 'data.gdp': file name 'gdp\\ud800.csv' cannot be "
+        f"encoded in the file-system encoding {sys.getfilesystemencoding()}"),
+    "unencodable_manifest_paths": (
+        lambda: RunManifest(Path("d", "manifest.txt"), {
+            "data.population": "population.csv, pop\ud800.csv"}).paths("data.population"),
+        ValidationError,
+        f"{Path('d', 'manifest.txt')}: key 'data.population': file name 'pop\\ud800.csv' cannot "
+        f"be encoded in the file-system encoding {sys.getfilesystemencoding()}"),
 }
 
 
