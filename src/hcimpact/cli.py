@@ -88,7 +88,7 @@ def _build_project(manifest: RunManifest, fmt: str):
             output = f"population_{name}.txt", render_table(headers, rows)
         else:
             output = f"population_{name}.csv", io.population_csv_text([projected])
-        _add_output(files, sources, *output, "project.scenarios")
+        _add_output(files, sources, *output, f"{manifest.source}: key 'project.scenarios'")
         stdout.append(f"projected {name}: birth rate {io.fmt_value(rate)}, "
                       f"{projected.grid.n_cohorts} cohorts x {projected.grid.n_dates} dates")
     return files, stdout

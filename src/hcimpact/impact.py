@@ -250,12 +250,10 @@ class GridResult(Sequence[GridRow]):
         if not (np.isfinite(self.crimi).all() and np.isfinite(self.criui).all()):
             raise NumericalError("impact components must be finite")
         m, p, r, f = self.shape
-        if self.base is None:
-            object.__setattr__(self, "base", np.empty((m, p, 0)))
         for name, shape in (("crimi", (m, p, r)), ("criui", (m, p, f)),
                             ("base", (m, p, len(self.dates)))):
-            values = frozen_array(getattr(self, name), shape, name, lo=-math.inf)
-            object.__setattr__(self, name, values)
+            values = np.empty((m, p, 0)) if getattr(self, name) is None else getattr(self, name)
+            object.__setattr__(self, name, frozen_array(values, shape, name, lo=-math.inf))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -267,17 +265,14 @@ class GridResult(Sequence[GridRow]):
         return self.crimi[:, :, :, None] + self.criui[:, :, None, :]
 
     def __len__(self) -> int:
-        return self.crimi.size * len(self.rfs)
+        return math.prod(self.shape)
 
     def __getitem__(self, k: int) -> GridRow:
-        n, n_rf = len(self), len(self.rfs)
+        n = len(self)
         if not -n <= k < n:
             raise IndexError(f"grid cell {k} out of range for {n} cells")
-        mpr, f = divmod(k % n, n_rf)
-        mp, r = divmod(mpr, len(self.rr_values))
-        m, p = divmod(mp, len(self.pop_scenarios))
-        crimi, criui = self.crimi.item(mpr), self.criui.item(mp * n_rf + f)
-        result = ImpactResult(self.date, crimi, criui, self.gdp)
+        m, p, r, f = np.unravel_index(k % n, self.shape)
+        result = ImpactResult(self.date, self.crimi.item(m, p, r), self.criui.item(m, p, f), self.gdp)
         return GridRow(self.models[m], self.pop_scenarios[p], self.rr_values[r], self.rfs[f], result)
 
 

@@ -36,6 +36,7 @@ from .relative_risk import (
     LaborMarketState,
     StudyRecords,
     UtilizationRRSet,
+    _FIELDS,
     _dilute,
     first_bad_record,
 )
@@ -542,12 +543,12 @@ def read_rr_utilization_csv(path, labor: LaborMarketState) -> UtilizationRRSet:
          lambda row: f"negative relative risk {float(columns['rr'][row])}"),
         _flag("diluted", columns["diluted"]),
     ])
-    values = {service: rr if flag == "1" else _dilute(rr, labor.unemployment_rate)
-              for service, (rr, flag) in rows.items()}
     for required in ("H", "S", "GP"):
-        if required not in values:
+        if required not in rows:
             _fail(path, f"missing service row {required!r}")
-    return UtilizationRRSet(*(values.get(code, 1.0) for code in ("H", "S", "GP", "P", "R", "m")))
+    return UtilizationRRSet(**{  # by field name, so an omitted row takes the constructor's default
+        _FIELDS[service]: rr if flag == "1" else _dilute(rr, labor.unemployment_rate)
+        for service, (rr, flag) in rows.items()})
 
 
 # ------------------------------------------------------------ cost machinery

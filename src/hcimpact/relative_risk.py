@@ -156,9 +156,13 @@ class ServiceValues:
                 raise ValidationError(f"{self._label} for {code} must be {self._range_text}")
 
     def for_service(self, code: str) -> float:
-        if code not in SERVICES:
+        if code not in _FIELDS:
             raise ValidationError(f"unknown service code {code!r}")
-        return float(getattr(self, fields(self)[SERVICES.index(code)].name))
+        return float(getattr(self, _FIELDS[code]))
+
+
+#: The :class:`ServiceValues` field that holds each service code, in the order of :data:`SERVICES`.
+_FIELDS = {code: field.name for code, field in zip(SERVICES, fields(ServiceValues))}
 
 
 class UtilizationRRSet(ServiceValues):

@@ -1282,6 +1282,102 @@ def test_every_line_mutation_of_a_golden_result_file_renders_or_exits_2_naming_i
     assert failures == []
 
 
+def _cell_mutations(lines: list[str], rows, texts):
+    """``(line number, column, text, lines)`` for each text in each cell of the
+    data rows at the indices ``rows``, a repeated index taken once."""
+    header, data = lines[0], lines[1:]
+    columns = header.split(",")
+    for row in sorted(set(rows)):
+        cells = data[row].split(",")
+        for column, text in itertools.product(range(len(columns)), texts):
+            mutated = ",".join([*cells[:column], text, *cells[column + 1:]])
+            yield row + 2, columns[column], text, [header, *data[:row], mutated, *data[row + 1:]]
+
+
+_OVERFLOW = "expenditure must be finite at every date"
+# The runs whose cell at 1e308 overflows with a message that names no file,
+# by (file, line, column, subcommand); see the unnamed-overflow FOUND in CHANGES.md.
+_UNNAMED_CELL_OVERFLOWS = {
+    ("population.csv", 2, "count_thousands", "project"): "head-counts must be finite and >= 0",
+    **{("population.csv", 2, "count_thousands", c): _OVERFLOW for c in ("impact", "sensitivity")},
+    **{("cost_profile.csv", 2, "eur_per_capita", c): _OVERFLOW for c in ("impact", "sensitivity")},
+    **{("rr_utilization_lower.csv", line, "rr", "sensitivity"): _OVERFLOW for line in (2, 7)},
+    **{("rr_utilization_upper.csv", line, "rr", c): _OVERFLOW
+       for line in (2, 7) for c in ("impact", "sensitivity")},
+}
+
+
+def test_every_cell_mutation_of_an_input_file_exits_0_with_finite_numbers_or_2_naming_it(
+    tmp_path, data_dir, capsys
+):
+    # Each cell of the first and the last data row of every input file but the
+    # study records (they have their own test) is set to each text in turn,
+    # under each subcommand that reads the file. Only the mutated file is
+    # written; the manifest names the others in data/. A run prints and writes
+    # only finite numbers, or prints one error line that names the file or a
+    # key of the manifest and writes nothing, except the overflows pinned above.
+    original = (data_dir / "manifest.txt").read_text(encoding="utf-8")
+    manifest, out = tmp_path / "manifest.txt", tmp_path / "out"
+    inputs = {key: name for key, name in parse_manifest(data_dir / "manifest.txt").values.items()
+              if key.startswith("data.") and key != "data.rr_mortality"}
+    texts = ("", "nan", "-1", "1e308", "é")
+    failures, runs = [], 0
+    for key, name in inputs.items():
+        manifest.write_text(re.sub(r"(?m)^(data\.\w+) = (.*)$", lambda m: f"{m[1]} = " + (
+            m[2] if m[1] == key else str(data_dir / m[2])), original), encoding="utf-8")
+        target = tmp_path / name
+        lines = (data_dir / name).read_text(encoding="utf-8").splitlines()
+        for line, column, text, mutated in _cell_mutations(lines, (0, len(lines) - 2), texts):
+            target.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+            for command in _commands_reading(key):
+                runs += 1
+                run = code, stdout, err, files = _run_strict(command, manifest, out, capsys)
+                shutil.rmtree(out, ignore_errors=True)
+                written = stdout + "".join(f.decode("utf-8") for f in (files or {}).values())
+                pinned = _UNNAMED_CELL_OVERFLOWS.get((name, line, column, command))
+                if pinned is not None and text == "1e308":
+                    ok = run == (2, "", f"error: {pinned}\n", None)
+                elif code == 0:
+                    ok = err == "" and all(map(math.isfinite, _numbers(written)))
+                else:
+                    ok = _exits_2_naming("", run) and (
+                        str(target) in err or err.startswith(f"error: {manifest}: key '"))
+                if not ok:
+                    failures.append((name, line, column, text, command, code, err))
+    assert len(_UNNAMED_CELL_OVERFLOWS) == 11
+    assert runs == 660
+    assert failures == []
+
+
+def test_every_cell_mutation_of_a_golden_result_file_renders_or_exits_2_naming_it(
+    tmp_path, capsys
+):
+    # Each cell of the first, the middle and the last data row of every result
+    # file is set to each text in turn: report writes only finite numbers, or
+    # prints one error line that names the file and writes nothing. A text
+    # cell set to "nan" is an id, which a table shows as it is, not a number.
+    manifest, out = tmp_path / "report_manifest.txt", tmp_path / "out"
+    texts = ("", "nan", "1e308", "é", '"a,b"', "99999999999999999999")
+    failures, runs = [], 0
+    for golden in sorted(_GOLDEN_CLI.rglob("*.csv")):
+        manifest.write_text(f"report.files = {golden.name}\n", encoding="utf-8")
+        lines = golden.read_text(encoding="utf-8").splitlines()
+        header, n = lines[0].split(","), len(lines) - 1
+        for line, column, text, mutated in _cell_mutations(lines, (0, n // 2, n - 1), texts):
+            (tmp_path / golden.name).write_text("\n".join(mutated) + "\n", encoding="utf-8")
+            runs += 1
+            run = code, _, err, files = _run_strict("report", manifest, out, capsys)
+            shutil.rmtree(out, ignore_errors=True)
+            written = "".join(f.decode("utf-8") for f in (files or {}).values())
+            if text == "nan" and not _numbers(lines[line - 1].split(",")[header.index(column)]):
+                written = re.sub(r"(?<!\S)nan(?!\S)", " ", written)
+            if not (code == 0 and err == "" and all(map(math.isfinite, _numbers(written)))
+                    or _exits_2_naming(str(tmp_path / golden.name), run)):
+                failures.append((golden.name, line, column, text, code, err))
+    assert runs == 516
+    assert failures == []
+
+
 @pytest.mark.parametrize("line, problem", [
     ("oops", "expected 'key = value', got 'oops'"),
     (" = 1", "empty key"),
@@ -1394,6 +1490,91 @@ def test_a_file_name_the_c_locale_cannot_encode_exits_2_naming_its_key(
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert key in err and "file-system encoding" in err, err
     assert not out.exists()
+
+
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_a_bad_project_output_name_names_the_manifest_and_its_key(tmp_path, data_dir, capsys):
+    # A scenario name that makes no plain file name, in process, and one that
+    # the C locale's file-system encoding cannot represent, in a child process.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest, out = bundle / "manifest.txt", tmp_path / "out"
+    _set_manifest_value(manifest, "project.scenarios", "ok,sub/x")
+    assert run_cli("project", "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: {manifest}: key 'project.scenarios': output "
+                                       "name 'population_sub/x.csv' is not a plain file name\n")
+    text = manifest.read_text(encoding="utf-8").replace("ok,sub/x", "PopSV-1.7,PopSV-ü1.3")
+    manifest.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "hcimpact.cli", "project",
+                           "--manifest", str(manifest), "--out", str(out)],
+                          capture_output=True, env=_subprocess_env(**_C_LOCALE))
+    assert proc.returncode == 2
+    assert proc.stderr.decode("ascii") == (
+        f"error: {manifest}: key 'project.scenarios': output name "
+        "'population_PopSV-\\xfc1.3.csv' cannot be encoded in the file-system encoding ascii\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("utf8", [True, False], ids=["UTF-8", "C"])
+def test_a_non_ascii_id_in_every_id_column_reads_and_writes_as_utf8(tmp_path, data_dir, utf8):
+    # Every id column of a copy of data/ holds a non-ASCII id: the population,
+    # cost-profile and D/S ids, the study source tags and a projected scenario.
+    # Every output is UTF-8 and holds its ids. Under the C locale, only an output
+    # name that the file-system encoding cannot represent fails, naming its source.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    renamed = {"PopMV": "PopMÉ", "PopLV": "PopLœ", "ARC1": "ARC€1", "central": "centrål",
+               "project.scenarios = PopSV-1.7,PopSV-1.3": "project.scenarios = PopSV-1.7,PopSV-ü1.3"}
+    for path in bundle.iterdir():
+        text = path.read_text(encoding="utf-8")
+        for old, new in renamed.items():
+            text = text.replace(old, new)
+        if path.name == "rr_mortality.csv":  # its last column is the source tag
+            header, *rows = text.splitlines()
+            text = "\n".join([header, *(row + "ü" for row in rows)]) + "\n"
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    env = _subprocess_env(LC_ALL="C.UTF-8", PYTHONUTF8="1") if utf8 else _subprocess_env(**_C_LOCALE)
+
+    def run(command: str, manifest: Path) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "hcimpact.cli", command, "--manifest",
+                               str(manifest), "--out", str(out / command)],
+                              capture_output=True, env=env)
+
+    runs = {command: run(command, bundle / "manifest.txt")
+            for command in ("project", "impact", "sensitivity")}
+    results = [out / "impact" / "expenditure.csv", out / "impact" / "impact.csv",
+               out / "sensitivity" / "sensitivity.csv"]
+    if utf8:
+        results += [out / "project" / f"population_PopSV-{s}.csv" for s in ("1.7", "ü1.3")]
+    report_manifest = tmp_path / "report_manifest.txt"
+    report_manifest.write_text(f"report.files = {','.join(map(str, results))}\n", encoding="utf-8")
+    runs["report"] = run("report", report_manifest)
+    codec = ("utf-8",) if utf8 else ("ascii", "backslashreplace")
+    assert "scenario.cost_profile = ARC€1\nscenario.ds_scenario = centrål\n".encode(
+        *codec) in runs["impact"].stdout
+    if not utf8:
+        for command, source, name in (
+                ("project", f"{bundle / 'manifest.txt'}: key 'project.scenarios'",
+                 "population_PopSV-ü1.3.csv"),
+                ("report", results[0], "expenditure_series_DC_PopMÉ.csv")):
+            assert runs.pop(command).stderr == (
+                f"error: {source}: output name {name!r} cannot be encoded in the file-system "
+                "encoding ascii\n").encode(*codec)
+            assert not (out / command).exists()
+    ids = {"expenditure": ["PopMÉ"], "impact": ["PopMÉ"], "sensitivity": ["PopMÉ", "PopLœ"],
+           "population_PopSV-1.7": ["PopSV-1.7"], "population_PopSV-ü1.3": ["PopSV-ü1.3"]}
+    written = 0
+    for command, proc in runs.items():
+        assert proc.returncode == 0, proc.stderr
+        for path in (out / command).iterdir():
+            name, text = os.fsencode(path.name).decode("utf-8"), path.read_bytes().decode("utf-8")
+            stem = max((s for s in ids if name.startswith((f"{s}.", f"{s}_"))), key=len)
+            assert all(i in name + text for i in ids[stem]), name
+            written += 1
+    assert written == (13 if utf8 else 3)
 
 
 def test_python_m_runs_the_process_entry_that_freezes_the_import_time_heap(tmp_path):
