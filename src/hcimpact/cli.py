@@ -70,9 +70,9 @@ def _build_project(manifest: RunManifest, fmt: str):
                               "must list the same number of items")
     initial = manifest.value("project.initial", lambda name: _resolve(
         populations, name, "initial population scenario").counts[:, 0])
-    dates = mortality.grid.dates  # the horizon defaults to the last one
-    horizon = manifest.value("project.horizon", lambda date: dates[
-        mortality.grid.date_index(dates[-1] if date is None else date)])
+    horizon = manifest.value("project.horizon")  # None: project_population takes the last date
+    if horizon is not None:
+        manifest.value("project.horizon", mortality.grid.date_index)
 
     files: dict[str, str] = {}
     sources: dict[str, str] = {}
@@ -192,8 +192,8 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[tuple[Path, Path]] = []
     try:
-        for name, content in files.items():
-            temp = out_dir / f".{name}.{os.getpid()}.tmp"
+        for i, (name, content) in enumerate(files.items()):
+            temp = out_dir / f".hcimpact.{os.getpid()}.{i}.tmp"  # short, however long the target
             with open(temp, "x", encoding="utf-8") as fh:
                 written.append((temp, out_dir / name))
                 fh.write(content)

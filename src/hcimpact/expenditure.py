@@ -129,14 +129,14 @@ class ModelParameters:
     """Residual parameter bundle shared by all expenditure models.
 
     ``utilization`` is a dimensionless per-cohort multiplier, checked once
-    and kept as a float or a read-only vector (default 1 everywhere).
+    and kept as a float or a read-only vector (default 1 everywhere, as is ``None``).
     ``health_improvement_rate`` is the effective-age drift in years of age
     per calendar year (default 0.25, i.e. three months over year). ``gdp``
     maps projection dates to GDP in EUR millions and is only used for share
     reporting.
     """
 
-    utilization: float | np.ndarray | None = None
+    utilization: float | np.ndarray | None = 1.0
     health_improvement_rate: float = 0.25
     gdp: Mapping[int, float] | None = None
 

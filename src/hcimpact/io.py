@@ -86,11 +86,13 @@ RESULTS: dict[str, dict[str, type]] = {
 # The header of each result file.
 IMPACT_COLUMNS, EXPENDITURE_COLUMNS, SERIES_COLUMNS = (
     tuple(RESULTS[kind]) for kind in ("impact", "expenditure", "series"))
+# The number format of fmt_value, the one writer and the impact files.
+_NUMBER = "%.6g"
 
 
 def fmt_value(x: float) -> str:
     """Fixed delimited-file number format: 6 significant digits."""
-    return format(float(x), ".6g")
+    return _NUMBER % float(x)
 
 
 def selector_text(sel: str | float) -> str:
@@ -107,9 +109,8 @@ def _quoted(cell):
 
 def _csv_text(columns: dict[str, type], rows: Iterable[tuple]) -> str:
     """The header of ``columns``, then a line per row: a float cell as
-    :func:`fmt_value` (``"%.6g" % x`` is ``format(float(x), ".6g")``), any
-    other as ``str`` of :func:`_quoted`."""
-    line = ",".join("%.6g" if kind is float else "%s" for kind in columns.values()) + "\n"
+    :func:`fmt_value`, any other as ``str`` of :func:`_quoted`."""
+    line = ",".join(_NUMBER if kind is float else "%s" for kind in columns.values()) + "\n"
     return ",".join(columns) + "\n" + "".join(line % tuple(map(_quoted, row)) for row in rows)
 
 
@@ -598,9 +599,8 @@ def read_gdp_csv(path) -> dict[int, float]:
 # ------------------------------------------------------------ impact results
 
 def _fmt_values(values: Sequence[float], end: str = "") -> list[str]:
-    """:func:`fmt_value` of every value, each followed by ``end``, in one ``%``
-    call: ``"%.6g" % x`` makes the same conversion as ``format(float(x), ".6g")``."""
-    return ((f"%.6g{end}\0" * len(values)) % tuple(values)).split("\0")[:-1]
+    """:func:`fmt_value` of every value, each followed by ``end``, in one ``%`` call."""
+    return ((f"{_NUMBER}{end}\0" * len(values)) % tuple(values)).split("\0")[:-1]
 
 
 def _by_bits(values):

@@ -93,7 +93,7 @@ _REQUIRED = object()  # the default of a key that has none
 #: Every key a subcommand reads: ``key: (parse, default)``. The subcommands
 #: share one manifest, so a key outside this table is a typo, and
 #: :func:`parse_manifest` rejects it. ``impact`` echoes the ``scenario.*``
-#: keys in this order.
+#: keys in this order. A default an engine type declares is read off it.
 SCHEMA = {
     "data.population": (_items, _REQUIRED),
     "data.mortality": (_text, _REQUIRED),
@@ -108,17 +108,17 @@ SCHEMA = {
     "scenario.model": (_one_of("model", MODELS), _REQUIRED),
     "scenario.cost_profile": (_text, _REQUIRED),
     "scenario.ds_scenario": (_text, _REQUIRED),
-    "scenario.rr_selection": (_selector, "upper"),
-    "scenario.rf_selection": (_selector, "upper"),
-    "scenario.shock_date": (_integer, 2015),
+    "scenario.rr_selection": (_selector, ScenarioConfig.rr_selection),
+    "scenario.rf_selection": (_selector, ScenarioConfig.rf_selection),
+    "scenario.shock_date": (_integer, ScenarioConfig.shock_date),
     "scenario.unemployment_rate": (lambda t: LaborMarketState(_float(t)).unemployment_rate, 0.10),
-    "scenario.envelope_policy": (_one_of("policy", ENVELOPE_POLICIES), "population_level"),
-    "params.utilization": (_number, 1.0),
-    "params.health_improvement_rate": (_number, 0.25),
+    "scenario.envelope_policy": (_one_of("policy", ENVELOPE_POLICIES), ENVELOPE_POLICIES[0]),
+    "params.utilization": (_number, ModelParameters.utilization),
+    "params.health_improvement_rate": (_number, ModelParameters.health_improvement_rate),
     "project.scenarios": (_distinct(_items), _REQUIRED),
     "project.birth_rates": (_list(_number), _REQUIRED),
     "project.initial": (_text, _REQUIRED),
-    "project.horizon": (_integer, None),  # None: the last date of the mortality grid
+    "project.horizon": (_integer, None),  # None: project_population projects to the last date
     "sensitivity.models": (_distinct(_list(_one_of("model", MODELS))), _REQUIRED),
     "sensitivity.populations": (_distinct(_items), _REQUIRED),
     "sensitivity.rr_values": (_distinct(_list(_selector)), _REQUIRED),

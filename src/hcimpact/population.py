@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CohortGrid, frozen_array
+from .grid import DATE_STEP, CohortGrid, frozen_array
 
 __all__ = [
     "MortalityTable",
@@ -28,7 +28,7 @@ __all__ = [
 
 def annualized(pd5: np.ndarray) -> np.ndarray:
     """One-year death probabilities at a constant 5-year hazard: 1 - (1 - PD)^(1/5)."""
-    return 1.0 - (1.0 - pd5) ** 0.2
+    return 1.0 - (1.0 - pd5) ** (1 / DATE_STEP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,7 @@ def project_population(
             surv = cur * (1.0 - mortality.death_prob[:, i])
             counts[1:, i + 1] = surv[:-1]
             counts[-1, i + 1] += surv[-1]  # open-ended cohort accumulates its own survivors
-            counts[0, i + 1] = births.annual_rate * cur.sum() * 5.0
+            counts[0, i + 1] = births.annual_rate * cur.sum() * DATE_STEP
 
     path_grid = CohortGrid(grid.cohort_starts, grid.dates[: last + 1])
     return PopulationPath(scenario=births.name, grid=path_grid, counts=counts)

@@ -310,7 +310,7 @@ def build_rr_envelope(
     records: Sequence[StudyRecord],
     labor: LaborMarketState,
     grid: CohortGrid,
-    policy: str = "population_level",
+    policy: str = ENVELOPE_POLICIES[0],
 ) -> MortalityRRTable:
     """Assemble the per-cohort mortality-risk envelope from study records.
 

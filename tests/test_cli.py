@@ -19,7 +19,7 @@ from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensit
 from hcimpact.cli import main
 from hcimpact.expenditure import ExpenditurePath
 from hcimpact.errors import ValidationError
-from hcimpact.manifest import KNOWN_KEYS, SCHEMA, parse_manifest
+from hcimpact.manifest import _REQUIRED, KNOWN_KEYS, SCHEMA, parse_manifest
 from hcimpact.report import render_result_file, render_table, sniff_schema
 
 from conftest import DATA_DIR, REPO_ROOT, overflowing_bundle
@@ -1090,6 +1090,24 @@ def test_readme_key_table_lists_every_known_key():
     assert set(keys) == KNOWN_KEYS
 
 
+def test_readme_key_table_states_the_schema_defaults():
+    # Each default cell, parsed by its key's own parser, is the key's SCHEMA default.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    cells = {key: cell for key, cell in re.findall(r"(?m)^\| `([a-z_.]+)` \| ([^|]*?) \|", readme)
+             if key in SCHEMA}
+    assert cells.keys() == SCHEMA.keys()
+    for key, cell in cells.items():
+        parse, default = SCHEMA[key]
+        if cell == "required":
+            assert default is _REQUIRED, key
+        elif cell == "the last mortality date":
+            assert default is None, key
+        else:
+            assert re.fullmatch(r"`[^`]+`", cell), (key, cell)
+            value = parse(cell[1:-1])
+            assert (type(value), value) == (type(default), default), key
+
+
 @pytest.mark.parametrize("key, value, problem", [
     ("sensitivity.models", "CH,CH", "'CH' is listed twice"),
     ("sensitivity.populations", "PopMV,PopLV,PopMV", "'PopMV' is listed twice"),
@@ -1724,3 +1742,43 @@ def test_every_manifest_value_exits_0_with_finite_numbers_or_2_naming_its_key(
                     failures.append((key, text, command, code, err))
     assert runs == 500
     assert failures == []
+
+
+def test_an_output_name_of_253_bytes_is_written(tmp_path, data_dir):
+    # Its temporary file is not named from it: a longer name would pass the
+    # 255-byte file-name limit that the target keeps to.
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    name = "x" * 238
+    _set_manifest_value(manifest, "project.scenarios", f"{name},b")
+    out = tmp_path / "out"
+    assert run_cli("project", "--manifest", manifest, "--out", out) == 0
+    target = f"population_{name}.csv"
+    assert len(os.fsencode(target)) == 253
+    assert sorted(f.name for f in out.iterdir()) == ["population_b.csv", target]
+
+
+# Every key with a default; the bundled manifest gives each its default value.
+_DEFAULTED_KEYS = [key for key, (_, default) in SCHEMA.items() if default is not _REQUIRED]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("command", ["project", "impact", "sensitivity"])
+def test_a_manifest_that_omits_every_key_with_a_default_runs_as_the_bundled_one(
+    tmp_path, data_dir, capsys, command, fmt
+):
+    bundle = tmp_path / "data"
+    shutil.copytree(data_dir, bundle)
+    text, n = re.subn(rf"(?m)^(?:{'|'.join(map(re.escape, _DEFAULTED_KEYS))}) = .*\n", "",
+                      (bundle / "manifest.txt").read_text(encoding="utf-8"))
+    assert n == len(_DEFAULTED_KEYS) == 8
+    defaulted = bundle / "defaulted.txt"
+    defaulted.write_text(text, encoding="utf-8")
+    runs = []
+    for manifest in (bundle / "manifest.txt", defaulted):
+        out = tmp_path / manifest.stem
+        assert run_cli(command, "--manifest", manifest, "--out", out, "--format", fmt) == 0
+        runs.append(({f.name: f.read_bytes() for f in out.iterdir()}, capsys.readouterr()))
+    assert runs[1] == runs[0]
+    assert runs[0][0] and runs[0][1].out and not runs[0][1].err

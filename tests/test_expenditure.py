@@ -388,3 +388,7 @@ class TestUtilization:
         with pytest.raises(ValidationError, match=r"^utilization scaling: shape \(4,\), "
                                                   r"expected \(3,\)$"):
             evaluate_model(model, pop, costs, ds, _constant_mortality(grid, 0.1), params)
+
+
+def test_utilization_defaults_to_one_and_none_means_one():
+    assert ModelParameters().utilization == ModelParameters(utilization=None).utilization == 1.0
