@@ -191,14 +191,32 @@ def model_weights(
         if model == "CH":
             mids = np.array(grid.cohort_starts) + COHORT_WIDTH / 2.0
             ages = mids - params.health_improvement_rate * (date - grid.base_date)
-            ages, costs = np.broadcast_arrays(ages, costs)
-            rows = zip(ages.reshape(-1, *n), costs.reshape(-1, *n))
-            return u * np.reshape([np.interp(a, mids, c) for a, c in rows], ages.shape)
+            return u * _interp_rows(*np.broadcast_arrays(ages, costs), mids)
         if model == "DC":
             s, d = _split_costs(costs, ds, annualized(pd5_base))
             pd1 = annualized(pd5)
             return u * (s * (1.0 - pd1) + d * pd1)
     raise ValidationError(f"unknown model {model!r}; valid ids: {', '.join(MODELS)}")
+
+
+def _interp_rows(x: np.ndarray, fp: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[r], xp, fp[r])`` of every row r at once, bit for bit: ``x``
+    clamped to ``xp``'s ends (where numpy gives ``fp[0]`` and ``fp[-1]``), each
+    value's bracket from one ``searchsorted``, its costs by ``take_along_axis``,
+    numpy's slope formula, an exact hit taken as is, and numpy's retries of a
+    NaN (an infinite cost): from the bracket's upper end, then a flat bracket's
+    value. Called inside the caller's ``np.errstate``."""
+    x = np.clip(x, xp[0], xp[-1])
+    j = np.searchsorted(xp, x, side="right") - 1
+    k = np.minimum(j + 1, len(xp) - 1)
+    lo, hi = np.take_along_axis(fp, j, -1), np.take_along_axis(fp, k, -1)
+    slope = (hi - lo) / (xp[k] - xp[j])
+    y = np.where(x == xp[j], lo, slope * (x - xp[j]) + lo)
+    nan = np.isnan(y)
+    if nan.any():
+        y = np.where(nan, slope * (x - xp[k]) + hi, y)
+        y = np.where(np.isnan(y) & (lo == hi), lo, y)
+    return y
 
 
 def contract(counts: np.ndarray, weights: np.ndarray, rows: int = 1) -> np.ndarray:

@@ -598,9 +598,13 @@ def read_gdp_csv(path) -> dict[int, float]:
 
 # ------------------------------------------------------------ impact results
 
-def _fmt_values(values: Sequence[float], end: str = "") -> list[str]:
-    """:func:`fmt_value` of every value, each followed by ``end``, in one ``%`` call."""
-    return ((f"{_NUMBER}{end}\0" * len(values)) % tuple(values)).split("\0")[:-1]
+def _fmt_values(values: Sequence[float], end: str | tuple[str, ...] = "") -> list[str]:
+    """:func:`fmt_value` of every value, each followed by ``end``, in one ``%`` call.
+    A tuple of ends takes the values in groups of its length, the k-th of a
+    group followed by the k-th end, and gives one text per group."""
+    ends = (end,) if isinstance(end, str) else end
+    group = "".join(_NUMBER + e for e in ends) + "\0"
+    return ((group * (len(values) // len(ends))) % tuple(values)).split("\0")[:-1]
 
 
 def _by_bits(values):
@@ -638,11 +642,12 @@ def impact_columns(rows: GridResult | Iterable[GridRow]) -> list[list]:
 
 def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
     """The impact CSV of ``rows``. A :class:`GridResult` is rendered along its
-    axes: each column's distinct numbers are formatted in one call, and each
-    line is five pieces, ``model,pop,rr,`` and ``crimi,`` per (model,
-    population, RR), ``rf,`` per RF, ``criui,`` per (model, population, RF)
-    and ``cri,gdp`` per distinct CRI, broadcast into one array joined once.
-    Other rows are written one by one (:func:`_impact_cells`)."""
+    axes: each column's distinct numbers are formatted in one call, each
+    distinct CRI with its GDP share in the same call, and each line is five
+    pieces, ``model,pop,rr,`` and ``crimi,`` per (model, population, RR),
+    ``rf,`` per RF, ``criui,`` per (model, population, RF) and ``cri,gdp``
+    per distinct CRI, broadcast into one array and joined once after the
+    header. Other rows are written one by one (:func:`_impact_cells`)."""
     if not isinstance(rows, GridResult):
         return _csv_text(RESULTS["impact"], map(_impact_cells, rows))
     header = ",".join(IMPACT_COLUMNS) + "\n"
@@ -650,7 +655,7 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
         _by_bits, (rows.rfs, rows.crimi[..., None], rows.criui[:, :, None], rows.cri))
 
     def texts(values, end=","):
-        return np.array(_fmt_values(values.tolist(), end), dtype=object)
+        return np.array(_fmt_values(values.ravel().tolist(), end), dtype=object)
 
     selectors = list(map(selector_text, rows.rr_values))
     pops = list(map(_quoted, rows.pop_scenarios))
@@ -660,8 +665,10 @@ def impact_csv_text(rows: GridResult | Iterable[GridRow]) -> str:
     pieces[..., 1] = texts(rf)[rf_at]
     pieces[..., 2] = texts(crimi)[crimi_at]
     pieces[..., 3] = texts(criui)[criui_at]
-    pieces[..., 4] = (texts(cri) + texts(gdp_share_pct(cri, rows.gdp), "\n"))[cri_at]
-    return header + "".join(pieces.ravel().tolist())
+    pieces[..., 4] = texts(np.stack([cri, gdp_share_pct(cri, rows.gdp)], -1), (",", "\n"))[cri_at]
+    lines = pieces.ravel().tolist()
+    lines.insert(0, header)
+    return "".join(lines)
 
 
 def write_impact_csv(rows: GridResult | Iterable[GridRow], out) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,47 @@ class TestConstantHealth:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             ModelParameters(health_improvement_rate=-0.1)
+
+
+# Zero and repeated costs, a cost an RF overflows, and numbers between.
+_CH_COSTS = st.one_of(st.sampled_from([0.0, 1.0, 2500.0, 1e308, math.inf]), st.floats(0.0, 1e4))
+
+
+class TestConstantHealthKernel:
+    """CH's weights are ``u * np.interp`` of each cost row at its ages, bit for bit."""
+
+    @given(
+        n=st.integers(1, 21),
+        # 1.0 puts ages on midpoints at 5-year steps; 50.0 puts them below the first
+        rate=st.one_of(st.sampled_from([0.0, 1.0, 50.0]), st.floats(0.0, 10.0)),
+        steps=st.lists(st.integers(-6, 6), min_size=1, max_size=8),  # < 0: before the base date
+        vector=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_np_interp_of_its_cost_row(self, n, rate, steps, vector, data):
+        grid = grid_of(n, 3)
+        rows = st.lists(_CH_COSTS, min_size=n, max_size=n)
+        costs = np.array(data.draw(st.lists(rows, min_size=len(steps), max_size=len(steps))))
+        u = np.linspace(0.5, 1.5, n) if vector else 1.0
+        params = ModelParameters(utilization=u, health_improvement_rate=rate)
+        dates = grid.base_date + 5 * np.array(steps)
+        got = model_weights("CH", grid, dates[:, None], params, costs)
+        mids = np.array(grid.cohort_starts) + 2.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [u * np.interp(mids - rate * (date - grid.base_date), mids, row)
+                    for date, row in zip(dates, costs)]
+        assert got.shape == costs.shape
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_a_cost_row_an_rf_overflows_fails_the_contraction(self):
+        grid = grid_of(4, 3)
+        with np.errstate(over="ignore"):
+            costs = np.array([1000.0, 2000.0, 3000.0, 4000.0]) * np.array([[1.0], [1e308]])
+        weights = model_weights("CH", grid, np.array([[2015], [2015]]), ModelParameters(), costs)
+        assert np.all(np.isfinite(weights[0])) and np.all(np.isinf(weights[1]))
+        with pytest.raises(ValidationError, match="expenditure must be finite at every date"):
+            contract(np.ones(4), weights, 2)
 
 
 class TestCostDecomposition:

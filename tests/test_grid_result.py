@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hcimpact import GridResult, GridRow, ImpactResult, NumericalError, ValidationError, io
 from hcimpact.expenditure import contract, model_weights, require_same_grid
@@ -217,8 +217,22 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
+def _large_grid():
+    """A fixed 3 x 4 x 30 x 30 grid (10,800 cells) past the drawn grids' sizes:
+    both RR bound names, each number column with a ``-0.0``, and numbers drawn
+    from the pool and 40 others, so that CRIs repeat and many differ."""
+    rng = np.random.default_rng(0)
+    values = np.concatenate([_POOL, rng.uniform(-1e6, 1e6, 40)])
+    rfs, crimi, criui = (rng.choice(values, shape) for shape in (30, (3, 4, 30), (3, 4, 30)))
+    rfs[0] = crimi[0, 0, 0] = criui[0, 0, 0] = -0.0
+    rr_values = ("lower", "upper", *rng.uniform(0.0, 3.0, 28).tolist())
+    return GridResult(("PD", "CH", "DC"), ("S0", "S1", "S2", "S3"), rr_values, tuple(rfs.tolist()),
+                      2015, 1520346.0, crimi, criui)
+
+
 class TestDistinctRender:
     @given(grid=_pooled_grids())
+    @example(grid=_large_grid())
     @settings(max_examples=150, deadline=None)
     def test_csv_equals_the_per_row_render(self, grid):
         assert io.impact_csv_text(grid).splitlines() == _reference_csv(grid).splitlines()
@@ -233,6 +247,7 @@ class TestDistinctRender:
         assert list(map(repr, got)) == list(map(repr, want))
 
     @given(grid=_pooled_grids())
+    @example(grid=_large_grid())
     @settings(max_examples=150, deadline=None)
     def test_number_runs_once_per_distinct_value_of_each_column(self, grid):
         calls, fmt_values = [], io._fmt_values
