@@ -52,11 +52,11 @@ def _add_output(files, sources, name: str, content: str, source: str) -> None:
     taken name to its source), is rejected.
     """
     if Path(name).name != name or not CONTROL.keys().isdisjoint(name):
-        raise ValidationError(f"{source}: output name {name!r} is not a plain file name")
+        io._fail(source, f"output name {name!r} is not a plain file name")
     require_encodable(name, f"{source}: output name {name!r}")
     if name in sources:
         both = source if sources[name] == source else f"{sources[name]} and {source}"
-        raise ValidationError(f"{both}: output file {name} would be written twice")
+        io._fail(both, f"output file {name} would be written twice")
     files[name] = content
     sources[name] = source
 
@@ -66,8 +66,8 @@ def _build_project(manifest: RunManifest, fmt: str):
     names = manifest.value("project.scenarios")
     rates = manifest.value("project.birth_rates")
     if len(names) != len(rates):
-        raise ValidationError(f"{manifest.source}: project.scenarios and project.birth_rates "
-                              "must list the same number of items")
+        io._fail(manifest.source, "project.scenarios and project.birth_rates "
+                 "must list the same number of items")
     initial = manifest.value("project.initial", lambda name: _resolve(
         populations, name, "initial population scenario").counts[:, 0])
     horizon = manifest.value("project.horizon")  # None: project_population takes the last date

@@ -22,7 +22,7 @@ import warnings
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -114,9 +114,11 @@ def _csv_text(columns: dict[str, type], rows: Iterable[tuple]) -> str:
     return ",".join(columns) + "\n" + "".join(line % tuple(map(_quoted, row)) for row in rows)
 
 
-def _fail(path, msg: str, line: int | None = None) -> None:
-    where = f"{path}:{line}" if line is not None else str(path)
-    raise ValidationError(f"{where}: {msg}")
+def _fail(where, problem: str, line: int | None = None) -> NoReturn:
+    """Raise the one form of a located input error, ``where[:line]: problem``,
+    unchained; ``where`` is a file, a manifest or a manifest's key."""
+    where = where if line is None else f"{where}:{line}"
+    raise ValidationError(f"{where}: {problem}") from None
 
 
 @contextmanager
@@ -303,8 +305,8 @@ def _read_table(path, dtypes, key=None, optional=()):
     in one ``np.loadtxt`` of the path where it accepts the file, else by the
     row loop, :func:`_read_cohort_rows`. The columns in ``optional`` may be
     absent."""
-    parsed = _read_cohort_blocks(path, dtypes, key, optional)
-    return (*parsed, {}, None) if parsed else _read_cohort_rows(path, dtypes, key, optional)
+    return (_read_cohort_blocks(path, dtypes, key, optional)
+            or _read_cohort_rows(path, dtypes, key, optional))
 
 
 #: The largest file :func:`_read_cohort_blocks` parses from its lines in
@@ -316,8 +318,8 @@ _IN_MEMORY_BYTES = 2**16
 
 def _read_cohort_blocks(path, dtypes, key, optional):
     """The data lines of the file at ``path``, after a valid :func:`_header`,
-    as ``(ids, columns, line)`` (see :func:`_read_cohort_rows`); None for a
-    file the row loop reads.
+    as ``(ids, columns, line, {}, None)`` (see :func:`_read_cohort_rows`): no
+    bad cell and no error; None for a file the row loop reads.
 
     One scan of the bytes refuses what ``np.loadtxt`` would not split like
     ``csv`` (a byte that is not UTF-8, a quote, a CR, a NUL, a line longer
@@ -379,7 +381,8 @@ def _read_cohort_blocks(path, dtypes, key, optional):
                    for i in rows[key][start].tolist()]
         columns[key] = np.repeat(np.array(numbers, np.intp), np.diff(start, append=len(run)))
     # A row's line: 2, plus the rows and the empty lines before it.
-    return list(tables), columns, lambda row: 2 + row + int(np.searchsorted(before, row, "right"))
+    return (list(tables), columns,
+            lambda row: 2 + row + int(np.searchsorted(before, row, "right")), {}, None)
 
 
 def _parse_cells(texts, convert, stand_in, dtype):
@@ -451,9 +454,7 @@ def load_exogenous_path(name: str, source) -> PopulationPath:
     """Load one named exogenous scenario from a population file, verbatim."""
     paths = read_population_csv(source)
     if name not in paths:
-        raise ValidationError(
-            f"{source}: no scenario {name!r}; available: {', '.join(sorted(paths))}"
-        )
+        _fail(source, f"no scenario {name!r}; available: {', '.join(sorted(paths))}")
     return paths[name]
 
 

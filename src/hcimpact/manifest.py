@@ -146,7 +146,7 @@ class RunManifest:
     values: dict[str, str] = field(default_factory=dict)
 
     def fail(self, key: str, problem: str) -> NoReturn:
-        raise ValidationError(f"{self.source}: key {key!r}: {problem}") from None
+        io._fail(f"{self.source}: key {key!r}", problem)
 
     def value(self, key: str, check=None):
         """The value of ``key`` parsed by its :data:`SCHEMA` entry, or its
@@ -154,7 +154,7 @@ class RunManifest:
         to use; a ``ValidationError`` of either names the key."""
         parse, default = SCHEMA[key]
         if key not in self.values and default is _REQUIRED:
-            raise ValidationError(f"{self.source}: manifest is missing key {key!r}")
+            io._fail(self.source, f"manifest is missing key {key!r}")
         try:
             value = parse(self.values[key]) if key in self.values else default
             return value if check is None else check(value)
@@ -200,9 +200,9 @@ class RunManifest:
             if populations is not None:
                 repeated = [name for name in paths if name in populations]
                 if repeated:
-                    raise ValidationError(f"{p}: duplicate population scenario {repeated[0]!r}")
+                    io._fail(p, f"duplicate population scenario {repeated[0]!r}")
                 if paths.grid != populations.grid:
-                    raise ValidationError(f"{p}: population grids differ across files")
+                    io._fail(p, "population grids differ across files")
                 paths = Tables(PopulationPath, paths.grid, populations.ids + paths.ids,
                                np.concatenate((populations.stack, paths.stack)))
             populations = paths
@@ -210,7 +210,7 @@ class RunManifest:
         path = self.file("data.mortality")
         mortality = io.read_mortality_csv(path)
         if mortality.grid != populations.grid:
-            raise ValidationError(f"{path}: mortality table grid differs from the population grid")
+            io._fail(path, "mortality table grid differs from the population grid")
         return populations, mortality
 
     def load_inputs(self) -> ScenarioInputs:
@@ -231,7 +231,7 @@ class RunManifest:
         try:
             envelope = build_rr_envelope(records, labor, grid, policy=policy)
         except ValidationError as exc:  # the records cannot make one: name their file
-            raise ValidationError(f"{files['data.rr_mortality']}: {exc}") from None
+            io._fail(files["data.rr_mortality"], str(exc))
         return ScenarioInputs(
             grid=grid, populations=populations, mortality=mortality, rr_mortality=envelope,
             rr_utilization={
@@ -263,20 +263,20 @@ def parse_manifest(path) -> RunManifest:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValidationError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+                io._fail(source, f"expected 'key = value', got {raw!r}", lineno)
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             if not key:
-                raise ValidationError(f"{source}:{lineno}: empty key")
+                io._fail(source, "empty key", lineno)
             if key not in KNOWN_KEYS:
                 import difflib  # only on this error path, so start-up does not pay for it
 
                 close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
-                raise ValidationError(f"{source}:{lineno}: unknown key {key!r}{hint}")
+                io._fail(source, f"unknown key {key!r}{hint}", lineno)
             if key in values:
-                raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
+                io._fail(source, f"duplicate key {key!r}", lineno)
             values[key] = value
     manifest = RunManifest(source=source, values=values)
     for key in values:

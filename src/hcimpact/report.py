@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 
 from . import io
-from .errors import ValidationError
 
 __all__ = ["CONTROL", "render_table", "sniff_schema", "render_result_file"]
 
@@ -62,10 +61,10 @@ def sniff_schema(path) -> tuple[str, bool]:
         reader = csv.reader(fh)
         header_row = next(reader, None)
         if header_row is None:
-            raise ValidationError(f"{path}: empty file, expected a header row")
+            io._fail(path, "empty file, expected a header row")
         header = ",".join(h.strip() for h in header_row)
         if header not in _SCHEMAS:
-            raise ValidationError(f"{path}: unknown result file schema ({header!r})")
+            io._fail(path, f"unknown result file schema ({header!r})")
         return _SCHEMAS[header], any(any(cell.strip() for cell in row) for row in reader)
 
 

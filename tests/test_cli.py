@@ -15,7 +15,8 @@ import pytest
 
 import hcimpact.expenditure
 import hcimpact.impact
-from hcimpact import GridResult, PopulationPath, cli, io, parse_selector, sensitivity_grid
+from hcimpact import (BirthRateScenario, GridResult, PopulationPath, cli, io, parse_selector,
+                      project_population, sensitivity_grid)
 from hcimpact.cli import main
 from hcimpact.expenditure import ExpenditurePath
 from hcimpact.errors import ValidationError
@@ -134,6 +135,24 @@ class TestProject:
         table = (out / "population_SIM-A.txt").read_text()
         assert "cohort" in table and "2015" in table
         assert "0-4" in table and "5+" in table
+
+    def test_table_format_on_the_bundled_manifest_renders_each_projected_path(
+            self, tmp_path, data_dir):
+        manifest = data_dir / "manifest.txt"
+        out = tmp_path / "out"
+        assert run_cli("project", "--manifest", manifest, "--out", out, "--format", "table") == 0
+        m = parse_manifest(manifest)
+        populations, mortality = m.load_populations()
+        initial = populations[m.value("project.initial")].counts[:, 0]
+        names, rates = m.value("project.scenarios"), m.value("project.birth_rates")
+        assert sorted(f.name for f in out.iterdir()) == sorted(f"population_{n}.txt" for n in names)
+        for name, rate in zip(names, rates):
+            p = project_population(initial, mortality, BirthRateScenario(name, rate),
+                                   horizon=m.value("project.horizon"))
+            expected = render_table(
+                ["cohort", *map(str, p.grid.dates)],
+                [[p.grid.cohort_label(i), *p.counts[i]] for i in range(p.grid.n_cohorts)])
+            assert (out / f"population_{name}.txt").read_text() == expected
 
     @pytest.mark.parametrize("break_unused_input", [
         lambda bundle: (bundle / "manifest.txt").write_text(
@@ -917,6 +936,20 @@ def test_impact_writes_the_scenario_one_cell_grid(tmp_path, data_dir, capsys, fm
         expected = render_table(list(io.IMPACT_COLUMNS), list(zip(*io.impact_columns(grid))))
         assert (out / "impact.txt").read_text() == expected
     assert f"resolved rescaling factor = {io.fmt_value(grid.rfs[0])}\n" in capsys.readouterr().out
+
+
+def test_impact_table_format_writes_the_one_cell_grid_base_path(tmp_path, data_dir):
+    manifest = data_dir / "manifest.txt"
+    out = tmp_path / "out"
+    assert run_cli("impact", "--manifest", manifest, "--out", out, "--format", "table") == 0
+    m = parse_manifest(manifest)
+    config = m.scenario_config()
+    model, population = config.model, config.population
+    grid = sensitivity_grid(config, m.load_inputs(), [config.rr_selection],
+                            [config.rf_selection], [model], [population])
+    expected = render_table(list(io.EXPENDITURE_COLUMNS), [
+        [model, population, d, v] for d, v in zip(grid.dates, grid.base[0, 0])])
+    assert (out / "expenditure.txt").read_text() == expected
 
 
 def test_impact_makes_one_contraction_and_takes_its_base_path_off_the_grid(

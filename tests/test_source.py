@@ -31,3 +31,35 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{path.name}:{line}: {name}" for path in SOURCES
               for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert unused == []
+
+
+#: The modules at the input boundary, where every located error is raised.
+BOUNDARY = ("io.py", "manifest.py", "report.py", "cli.py")
+
+
+def _hand_built_locations(tree: ast.Module) -> list[int]:
+    """The line of each ``raise ValidationError(f"{…}:…")``, an f-string that
+    opens with a formatted value and then text starting with ``:``, outside
+    the function ``_fail``, the one place that writes a location."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_fail" for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and id(node) not in exempt and isinstance(
+                node.exc, ast.Call) and isinstance(node.exc.func, ast.Name) and (
+                node.exc.func.id == "ValidationError") and node.exc.args:
+            text = node.exc.args[0]
+            if (isinstance(text, ast.JoinedStr) and len(text.values) > 1
+                    and isinstance(text.values[0], ast.FormattedValue)
+                    and isinstance(text.values[1], ast.Constant)
+                    and str(text.values[1].value).startswith(":")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_located_input_error_is_raised_through_io_fail():
+    paths = [path for path in SOURCES if path.name in BOUNDARY]
+    assert [path.name for path in paths] == sorted(BOUNDARY)
+    found = [f"{path.name}:{line}" for path in paths
+             for line in _hand_built_locations(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
